@@ -11,9 +11,24 @@
  * Realisability is decided exactly with a possible-class-set dynamic
  * program: walking a physical path, the set of classes the packet may
  * occupy after each hop is a deterministic function of the previous set
- * and the hop direction, so counting realisable paths is a DP over
- * (node, class-set) states — no per-path enumeration and no VC
+ * and the hop's channel classes, so counting realisable paths is a DP
+ * over (position, class-set) states — no per-path enumeration and no VC
  * overcounting.
+ *
+ * One DP serves every pair, by the paper's own argument that classes,
+ * not concrete channels, decide. A channel's class reads only its
+ * dimension, sign and VC plus the parity of its source coordinate along
+ * the axis a parity class names (Definition 6). On a complete mesh every
+ * minimal hop inside the (source, dest) box exists and each dimension
+ * has one VC count, so the realisable path count depends only on the
+ * offset dest - source, the source's parity along the scheme's parity
+ * axes, and the class set. The DP is keyed by exactly those, in dense
+ * tables, and sums in the same order a per-destination walk would, so
+ * the report is bit-identical to one.
+ *
+ * Precondition: the network is a complete Network::mesh. Tori (wrap
+ * links make minimal walks non-monotone), partial 3D meshes and faulted
+ * copies (missing links break the offset symmetry) are rejected.
  */
 
 #ifndef EBDA_CDG_ADAPTIVITY_HH
@@ -51,9 +66,8 @@ struct AdaptivenessReport
 };
 
 /**
- * Measure adaptiveness of a scheme's turn set on a mesh network (tori
- * are rejected: minimal paths across wrap links are not unique-length
- * monotone walks, which the DP relies on).
+ * Measure adaptiveness of a scheme's turn set on a complete mesh
+ * network; any other network is rejected (see the file comment).
  *
  * Schemes are limited to 64 classes (class sets are bitmasks).
  */

@@ -142,5 +142,24 @@ TEST(Adaptiveness, RejectsTorus)
                  "mesh network");
 }
 
+TEST(Adaptiveness, RejectsPartialMesh3d)
+{
+    // Vertical links exist only at the elevators, so the path count is
+    // no longer a function of the offset alone.
+    const auto net =
+        topo::Network::partialMesh3d({3, 3, 2}, {1, 2, 1}, {{0, 0}});
+    EXPECT_DEATH(measureAdaptiveness(net, core::schemePartial3d()),
+                 "complete mesh network");
+}
+
+TEST(Adaptiveness, RejectsFaultedMesh)
+{
+    // A withoutLinks() copy keeps the Mesh kind but not every hop.
+    const auto net = topo::Network::mesh({4, 4}, {1, 1}).withoutLinks(
+        {{0, 1}});
+    EXPECT_DEATH(measureAdaptiveness(net, core::schemeFig6P1()),
+                 "complete mesh network");
+}
+
 } // namespace
 } // namespace ebda::cdg

@@ -90,13 +90,11 @@ shapeName(const ::testing::TestParamInfo<ShapeParam> &info)
     return name;
 }
 
-class SchemeSoundness : public ::testing::TestWithParam<ShapeParam>
+/** Every random Theorem-1 scheme over the shape's classes must have an
+ *  acyclic concrete CDG on that shape. */
+void
+expectAcceptedSchemesAcyclic(const ShapeParam &param)
 {
-};
-
-TEST_P(SchemeSoundness, AcceptedSchemesHaveAcyclicCdg)
-{
-    const auto &param = GetParam();
     const auto net = param.torus
         ? topo::Network::torus(param.dims, param.vcs)
         : topo::Network::mesh(param.dims, param.vcs);
@@ -120,6 +118,15 @@ TEST_P(SchemeSoundness, AcceptedSchemesHaveAcyclicCdg)
     EXPECT_GT(accepted, 5) << "generator produced too few valid schemes";
 }
 
+class SchemeSoundness : public ::testing::TestWithParam<ShapeParam>
+{
+};
+
+TEST_P(SchemeSoundness, AcceptedSchemesHaveAcyclicCdg)
+{
+    expectAcceptedSchemesAcyclic(GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, SchemeSoundness,
     ::testing::Values(ShapeParam{{4, 4}, {1, 1}, false},
@@ -128,9 +135,18 @@ INSTANTIATE_TEST_SUITE_P(
                       ShapeParam{{3, 3, 3}, {2, 2, 2}, false},
                       ShapeParam{{6, 6}, {1, 1}, true},
                       ShapeParam{{4, 4, 4}, {2, 1, 2}, false},
-                      ShapeParam{{8}, {3}, false},
                       ShapeParam{{5, 5}, {3, 1}, false}),
     shapeName);
+
+// ShapeParam has no gtest printer, so gtest_discover_tests registers each
+// case above under a ctest name ending in the raw bytes of its vectors:
+// heap addresses that differ from run to run. The 1-D line runs as a
+// plain test so that its name, the shortest, is fixed; a PrintTo for
+// ShapeParam would fix the rest too but rename every case above.
+TEST(SchemeSoundnessLine, Mesh8Vcs3AcceptedSchemesHaveAcyclicCdg)
+{
+    expectAcceptedSchemesAcyclic(ShapeParam{{8}, {3}, false});
+}
 
 TEST(SchemeProperties, SubPartitionsOfCycleFreePartitionsAreCycleFree)
 {
