@@ -1,17 +1,13 @@
 /**
  * @file
- * Whole-sim-loop throughput benchmark and zero-allocation gate for the
- * arena-backed flit fabric: one fixed latency point (8x8 mesh, 2
- * VCs/dim, fig7b, uniform 0.10 flits/node/cycle) timed over exactly
- * the measurement window via the simulator's measurement-phase hooks,
- * with the same global operator new/delete hook bench_route_compute
- * uses wrapped around that window.
+ * Whole-sim-loop throughput benchmark for the arena-backed flit fabric:
+ * one fixed latency point (8x8 mesh, 2 VCs/dim, fig7b, uniform 0.10
+ * flits/node/cycle) timed over exactly the measurement window via the
+ * simulator's measurement-phase hooks. The zero-steady-state-allocation
+ * contract over the same window is the tier-1 test
+ * tests/test_zero_alloc.cc.
  *
  * This binary exits non-zero when
- *  - the steady-state loop performs a single heap allocation between
- *    the first measurement cycle and the first post-measurement cycle
- *    (the arena fabric's contract: rings, freelist and ring queues
- *    make the whole cycle loop allocation-free once warm), or
  *  - a committed baseline is supplied via EBDA_SIM_BASELINE_JSON and
  *    the measured cycles/s regresses: against a baseline that already
  *    carries a `sim_loop` object, more than 25% below its
@@ -22,8 +18,7 @@
  * The regression gate is a wall-clock verdict, so it is skipped (with
  * a visible NOTICE, and reported as regression_gate_skipped_noisy in
  * the JSON) when the three identical reps spread more than 15% — a
- * noisy CI host cannot support the verdict either way. The
- * zero-allocation gate is timing-free and always enforced.
+ * noisy CI host cannot support the verdict either way.
  *
  * Machine-readable output: the JSON summary is printed to stdout and,
  * when EBDA_CYCLE_BENCH_JSON is set, written to that path (CI uploads
@@ -37,69 +32,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <new>
 #include <sstream>
 #include <string>
 
 #include "sim/simulator.hh"
 #include "sweep/router_factory.hh"
 #include "util/json.hh"
-
-namespace {
-
-/** @name Global allocation hook
- *  Counts every operator new in the process; the measurement window of
- *  the cycle loop must leave it untouched.
- *  @{ */
-std::uint64_t g_allocs = 0;
-
-void *
-countedAlloc(std::size_t size)
-{
-    ++g_allocs;
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    return countedAlloc(size);
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return countedAlloc(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-/** @} */
 
 namespace ebda {
 namespace {
@@ -146,13 +84,12 @@ loadBaseline(const char *path)
     return base;
 }
 
-/** One timed run: allocation count, flit moves and wall clock at the
- *  first measurement cycle and at the first post-measurement cycle. */
+/** One timed run: flit moves and wall clock at the first measurement
+ *  cycle and at the first post-measurement cycle. */
 struct RepResult
 {
     /** Hooks fired, run drained, no deadlock or abort. */
     bool clean = false;
-    std::uint64_t steadyAllocs = 0;
     double cyclesPerSec = 0.0;
     double flitMovesPerSec = 0.0;
     std::size_t packetTableSlots = 0;
@@ -164,27 +101,23 @@ runOnce(const topo::Network &net, const cdg::RoutingRelation &rel,
         const sim::TrafficGenerator &gen, const sim::SimConfig &cfg)
 {
     sim::Simulator simulator(net, rel, gen, cfg);
-    const sim::Fabric &fab = simulator.fabric();
 
     struct Window
     {
         bool started = false;
         bool ended = false;
-        std::uint64_t allocs0 = 0, allocs1 = 0;
         std::uint64_t moves0 = 0, moves1 = 0;
         Clock::time_point t0, t1;
     } w;
     simulator.setMeasurePhaseHooks(
         [&] {
             w.started = true;
-            w.moves0 = fab.flitMoves;
-            w.allocs0 = g_allocs;
+            w.moves0 = simulator.flitMoves();
             w.t0 = Clock::now();
         },
         [&] {
             w.t1 = Clock::now();
-            w.allocs1 = g_allocs;
-            w.moves1 = fab.flitMoves;
+            w.moves1 = simulator.flitMoves();
             w.ended = true;
         });
 
@@ -201,14 +134,13 @@ runOnce(const topo::Network &net, const cdg::RoutingRelation &rel,
     }
     const double seconds =
         std::chrono::duration<double>(w.t1 - w.t0).count();
-    rep.steadyAllocs = w.allocs1 - w.allocs0;
     rep.cyclesPerSec = seconds > 0
         ? static_cast<double>(cfg.measureCycles) / seconds
         : 0.0;
     rep.flitMovesPerSec = seconds > 0
         ? static_cast<double>(w.moves1 - w.moves0) / seconds
         : 0.0;
-    rep.packetTableSlots = fab.packets.size();
+    rep.packetTableSlots = simulator.fabric().packets.size();
     rep.packetsEjected = result.packetsEjected;
     return rep;
 }
@@ -234,24 +166,15 @@ benchMain()
 
     // Identical deterministic runs; the best wall-clock window is the
     // throughput figure (the others differ only by scheduler noise on
-    // a shared box). The allocation contract must hold on EVERY rep.
+    // a shared box).
     constexpr int kReps = 3;
     bool pass = true;
-    std::uint64_t worstAllocs = 0;
     double slowestRate = 0.0;
     RepResult best;
     for (int r = 0; r < kReps; ++r) {
         const RepResult rep = runOnce(net, *rel, gen, cfg);
         if (!rep.clean)
             pass = false;
-        if (rep.steadyAllocs != 0) {
-            std::cerr << "steady-state loop allocated "
-                      << rep.steadyAllocs
-                      << " time(s) inside the measurement window (rep "
-                      << r << ")\n";
-            pass = false;
-        }
-        worstAllocs = std::max(worstAllocs, rep.steadyAllocs);
         std::fprintf(stderr, "  rep %d: %.0f cycles/s\n", r,
                      rep.cyclesPerSec);
         if (r == 0 || rep.cyclesPerSec < slowestRate)
@@ -260,7 +183,6 @@ benchMain()
             best = rep;
     }
 
-    const std::uint64_t steadyAllocs = worstAllocs;
     const double cyclesPerSec = best.cyclesPerSec;
     const double flitMovesPerSec = best.flitMovesPerSec;
 
@@ -276,26 +198,22 @@ benchMain()
 
     std::printf("sim loop (fig7b, uniform 0.10, mesh 8x8, 2 VCs/dim):\n"
                 "  %.0f cycles/s, %.0f flit-moves/s over %llu measured "
-                "cycles (best of %d)\n  %llu steady-state allocations, "
-                "packet table high-water %zu slots (%llu packets "
-                "ejected)\n",
+                "cycles (best of %d)\n  packet table high-water %zu "
+                "slots (%llu packets ejected)\n",
                 cyclesPerSec, flitMovesPerSec,
                 static_cast<unsigned long long>(cfg.measureCycles),
-                kReps, static_cast<unsigned long long>(steadyAllocs),
-                best.packetTableSlots,
+                kReps, best.packetTableSlots,
                 static_cast<unsigned long long>(best.packetsEjected));
     std::printf("  per-rep spread %.1f%% (worst %.0f cycles/s)\n",
                 100.0 * repSpread, slowestRate);
     if (hostNoisy)
         std::printf("  NOTICE: spread exceeds %.0f%% — noisy host, "
-                    "regression gate SKIPPED (allocation gate still "
-                    "enforced)\n",
+                    "regression gate SKIPPED\n",
                     100.0 * kMaxTrustedSpread);
 
     // Regression gates against the committed baseline. Skipped (with
     // the notice above) when the reps disagree too much to trust a
-    // wall-clock verdict; the zero-allocation contract is timing-free
-    // and is enforced regardless.
+    // wall-clock verdict.
     double baselineCyclesPerSec = 0.0;
     if (const char *path = std::getenv("EBDA_SIM_BASELINE_JSON");
         !hostNoisy && path && *path) {
@@ -330,7 +248,6 @@ benchMain()
          << ",\"reps\":" << kReps
          << ",\"cycles_per_sec\":" << cyclesPerSec
          << ",\"flit_moves_per_sec\":" << flitMovesPerSec
-         << ",\"steady_state_allocs\":" << steadyAllocs
          << ",\"packet_table_slots\":" << best.packetTableSlots
          << ",\"rep_spread\":" << repSpread
          << ",\"regression_gate_skipped_noisy\":"

@@ -8,7 +8,7 @@
  *
  * Three gates, in order of importance:
  *  - shards=1 bit-identity: with an explicit shard count of 1 the
- *    simulator must dispatch to the classic CycleScheduler, so the
+ *    simulator must dispatch to the classic cycle loop, so the
  *    full result JSON must match a default (auto) run on a
  *    below-cutoff network bit for bit. Always enforced.
  *  - fixed-shard-count determinism: the shards=4 run must produce a
@@ -148,7 +148,7 @@ benchMain()
     bool pass = true;
 
     // ----------------------------------------------------------------
-    // Gate 1: shards=1 is the classic CycleScheduler, bit for bit.
+    // Gate 1: shards=1 is the classic cycle loop, bit for bit.
     // Run on an 8x8 mesh — below the Auto cutoff, so shards=0 resolves
     // to the classic backend and the comparison pins the dispatch
     // contract (an explicit 1 must not perturb anything, result JSON
@@ -170,7 +170,7 @@ benchMain()
         const auto one = runOnce(net8, *rel8, gen8, cfg8, 1, true);
         identityPass = classic.clean && one.clean
             && classic.resultJson == one.resultJson;
-        std::printf("shards=1 vs CycleScheduler bit-identity: %s\n",
+        std::printf("shards=1 vs classic-loop bit-identity: %s\n",
                     identityPass ? "ok" : "MISMATCH");
         if (!identityPass)
             pass = false;

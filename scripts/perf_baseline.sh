@@ -8,10 +8,9 @@
 #    a table/virtual mismatch or any table-path heap allocation.
 #  - bench_cycle_rate: whole-sim-loop throughput (cycles/s and
 #    flit-moves/s over exactly the measurement window, best of three
-#    identical runs) with a global allocation hook proving the
-#    steady-state loop performs zero heap allocations. Exits non-zero
-#    on any steady-state allocation or a regression against the
-#    previously committed baseline.
+#    identical runs). Exits non-zero on a regression against the
+#    previously committed baseline. (The zero-steady-state-allocation
+#    gate is the tier-1 test tests/test_zero_alloc.cc.)
 #  - bench_sched_mode: cycle- vs event-driven scheduler backends on a
 #    16x16 mesh, gating the >=5x event-mode win at near-idle load and
 #    a 10% cycle-mode regression bound at saturation.

@@ -21,8 +21,12 @@ RouteTable::RouteTable(const cdg::RoutingRelation &relation,
       numNodes(relation.network().numNodes()),
       numChannels(relation.network().numChannels())
 {
-    if (!opts.enable || !rel.probeSafe())
+    if (!opts.enable)
         return;
+    if (!rel.probeSafe()) {
+        state = Status::ProbeUnsafe;
+        return;
+    }
     const auto t0 = std::chrono::steady_clock::now();
     // Independent relations collapse the source axis; Dependent and
     // Unknown compile per-source rows, which assume nothing about the
@@ -37,8 +41,10 @@ RouteTable::RouteTable(const cdg::RoutingRelation &relation,
         pool.clear();
         outcome = fill();
     }
-    compiledFlag = outcome == FillOutcome::Ok;
-    if (!compiledFlag) {
+    state = outcome == FillOutcome::Ok ? Status::Compiled
+                                       : Status::OverBudget;
+    if (state == Status::OverBudget) {
+        needed = bytes;
         rows.clear();
         rows.shrink_to_fit();
         pool.clear();
@@ -62,10 +68,10 @@ RouteTable::fill()
     const std::size_t rowCount = chanRows + numNodes * numNodes;
     const std::uint64_t rowBytes =
         static_cast<std::uint64_t>(rowCount) * sizeof(Row);
+    bytes = rowBytes;
     if (rowBytes > opts.memoryBudgetBytes)
         return FillOutcome::OverBudget;
     rows.assign(rowCount, Row{});
-    bytes = rowBytes;
 
     const auto store = [&](std::size_t r,
                            const std::vector<topo::ChannelId> &cand) {
@@ -171,7 +177,7 @@ RouteTable::candidatesInto(topo::ChannelId in, topo::NodeId at,
                            std::vector<topo::ChannelId> &out) const
 {
     ++callCount;
-    if (compiledFlag) {
+    if (compiled()) {
         const Row r = rows[rowIndex(in, src, dest)];
         out.assign(pool.begin() + r.begin,
                    pool.begin() + r.begin + r.len);
@@ -194,7 +200,7 @@ RouteTable::buildReverseIndex()
 void
 RouteTable::filterDeadChannel(topo::ChannelId dead)
 {
-    if (!compiledFlag)
+    if (!compiled())
         return;
     if (!revBuilt)
         buildReverseIndex();
@@ -212,6 +218,22 @@ RouteTable::filterDeadChannel(topo::ChannelId dead)
         }
         row.len = keep;
     }
+}
+
+const char *
+toString(RouteTable::Status status)
+{
+    switch (status) {
+      case RouteTable::Status::Compiled:
+        return "compiled";
+      case RouteTable::Status::Disabled:
+        return "disabled";
+      case RouteTable::Status::ProbeUnsafe:
+        return "probe-unsafe";
+      case RouteTable::Status::OverBudget:
+        return "over-budget";
+    }
+    return "?";
 }
 
 } // namespace ebda::routing

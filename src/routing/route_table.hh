@@ -99,9 +99,29 @@ class RouteTable
     {
     }
 
+    /** Whether the table compiled, and why not when it did not. */
+    enum class Status : std::uint8_t
+    {
+        Compiled,
+        /** Options::enable was false. */
+        Disabled,
+        /** The relation declared probing unsafe (probeSafe()). */
+        ProbeUnsafe,
+        /** The table would exceed Options::memoryBudgetBytes. */
+        OverBudget,
+    };
+
+    Status status() const { return state; }
+
     /** True when queries are served from the table; false on the
-     *  virtual fallback (disabled, probe-unsafe, or over budget). */
-    bool compiled() const { return compiledFlag; }
+     *  virtual fallback (see status() for the reason). */
+    bool compiled() const { return state == Status::Compiled; }
+
+    /** For an over-budget table, the bytes it needed when it broke the
+     *  budget: the row array alone when that already exceeds it, else
+     *  rows plus the candidate pool filled so far (a lower bound).
+     *  0 for any other status. */
+    std::uint64_t bytesNeeded() const { return needed; }
 
     /** True when the table was widened to per-source rows. */
     bool perSource() const { return wide; }
@@ -138,7 +158,7 @@ class RouteTable
                    std::vector<topo::ChannelId> &scratch) const
     {
         ++callCount;
-        if (compiledFlag) {
+        if (state == Status::Compiled) {
             const Row r = rows[rowIndex(in, src, dest)];
             return CandidateSpan{pool.data() + r.begin, r.len};
         }
@@ -158,7 +178,7 @@ class RouteTable
                             topo::NodeId src, topo::NodeId dest,
                             std::vector<topo::ChannelId> &scratch) const
     {
-        if (compiledFlag) {
+        if (state == Status::Compiled) {
             const Row r = rows[rowIndex(in, src, dest)];
             return CandidateSpan{pool.data() + r.begin, r.len};
         }
@@ -220,7 +240,8 @@ class RouteTable
     std::size_t numChannels;
 
     bool wide = false;
-    bool compiledFlag = false;
+    Status state = Status::Disabled;
+    std::uint64_t needed = 0;
     std::size_t injBase = 0;
     std::uint64_t bytes = 0;
     std::uint64_t compileNs = 0;
@@ -233,6 +254,9 @@ class RouteTable
     std::vector<std::vector<std::uint32_t>> revIndex;
     bool revBuilt = false;
 };
+
+/** "compiled", "disabled", "probe-unsafe" or "over-budget". */
+const char *toString(RouteTable::Status status);
 
 } // namespace ebda::routing
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * The event-driven scheduling backend (sim/scheduler.hh seam).
+ * The event driver: the simulator's one cycle loop (sim/simulator.hh)
+ * plus an idle-skip oracle and a batched injection engine.
  *
  * Model: in this single-cycle-per-hop simulator every in-flight flit
  * is eligible to move every cycle, so while the fabric holds flits
@@ -13,17 +14,16 @@
  *  - the genCycles counter.
  * All three are reproducible out of band: the injection draws by
  * running the per-node xoshiro256** streams forward in a block-batched
- * engine (below), the rotations by closed-form resync
- * (VcAllocator::resyncOffset / SwitchAllocator::resyncOffset), and the
- * counter by adding the span length. So the scheduler sits on a
+ * engine (below), the rotations by closed-form resync (Domain::resync),
+ * and the counter by adding the span length. So the oracle sits on a
  * timestamp-ordered EventQueue of deadlines — injection timers from
  * the draw engine, measurement-phase boundaries, the abort-poll
  * cadence, the cycle limit — and when the fabric is empty it jumps
  * straight to the earliest one. Idle routers are never touched.
  *
- * Trace equivalence (tests/test_sched_equiv.cc): both backends consume
- * identical per-router RNG streams and execute identical phase code on
- * every non-empty cycle, so every SimResult field except the trailing
+ * Trace equivalence (tests/test_sched_equiv.cc): both drivers consume
+ * identical per-router RNG streams and execute the same per-cycle body
+ * on every non-empty cycle, so every SimResult field except the trailing
  * schedMode/wakeups pair is identical by construction. The injection
  * engine guarantees the stream part: its vectorized pass is the exact
  * xoshiro256** recurrence (any divergence from interleaved destination
@@ -33,13 +33,14 @@
  * By induction over blocks the engine's streams equal the streams the
  * cycle loop would have produced.
  *
- * Runs the event loop cannot accelerate fall back to cycle-granular
- * stepping via CycleScheduler (wakeups == cycles, results again
- * identical by construction): fault plans (fault events, retry
- * deadlines and stranded scans make almost every cycle a potential
- * event), the Random selection policy (draws interleave with
- * allocation, so streams cannot be precomputed), and degenerate
- * injection rates (p <= 0 or p >= 1 per-flit packet rate).
+ * Runs the oracle cannot accelerate run the loop without it
+ * (wakeups == cycles, results again identical by construction): fault
+ * plans (fault events, retry deadlines and stranded scans make almost
+ * every cycle a potential event), the protocol layer (service timers
+ * and reply injection fire off the injection-draw schedule), the
+ * Random selection policy (draws interleave with allocation, so
+ * streams cannot be precomputed), and degenerate injection rates
+ * (p <= 0 or p >= 1 per-flit packet rate).
  */
 
 #ifndef EBDA_SIM_EVENT_QUEUE_HH
@@ -47,10 +48,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <vector>
 
 #include "sim/scheduler.hh"
+#include "sim/simconfig.hh"
+#include "topo/network.hh"
 
 namespace ebda::sim {
 
@@ -118,11 +121,65 @@ class EventQueue
     std::vector<SchedEvent> heap;
 };
 
-/** The event-driven backend. */
-class EventScheduler final : public SchedulerBackend
+class InjectionEngine;
+class Router;
+class TrafficGenerator;
+
+/**
+ * What the event driver adds to the cycle loop: the injection engine
+ * that stands in for Simulator::generate, and the idle-skip oracle
+ * over the deadline queue. Only for runs whose injection draws are the
+ * sole consumer of the per-node RNG streams (see applies()).
+ */
+class EventOracle
 {
   public:
-    std::uint64_t run(Simulator &sim, SimResult &result) override;
+    /**
+     * @param routers      per-node routers; their RNG states seed the
+     *                     engine (the objects are not modified)
+     * @param traffic      destination generator for replayed hits
+     * @param packet_rate  per-cycle Bernoulli probability, in (0, 1)
+     * @param measure_start first measurement cycle
+     * @param measure_end   first post-measurement cycle
+     * @param cycle_limit   abort deadline (0: none)
+     * @param hard_stop     end of the drain phase
+     * @param abort_poll    an abort callback is polled every 1024
+     *                      cycles
+     */
+    EventOracle(const std::vector<Router> &routers,
+                const TrafficGenerator &traffic, double packet_rate,
+                std::uint64_t measure_start, std::uint64_t measure_end,
+                std::uint64_t cycle_limit, std::uint64_t hard_stop,
+                bool abort_poll);
+    ~EventOracle();
+
+    /** True when the event driver reproduces the cycle loop for a run
+     *  of this config: no fault plan, no protocol layer, no Random
+     *  selection (its draws interleave with allocation) and a packet
+     *  rate strictly inside (0, 1). Otherwise (almost) every cycle is
+     *  a potential event and the cycle loop is the event loop. */
+    static bool applies(const SimConfig &cfg);
+
+    /**
+     * The fabric is empty at the top of `cycle` and no packet awaits
+     * injection: return the first cycle at or after it on which
+     * anything can happen (an injection, a phase boundary, an abort
+     * poll, the cycle limit), or the hard stop. Every cycle before it
+     * is a provable no-op apart from the side effects the caller
+     * reproduces in closed form.
+     */
+    std::uint64_t idleUntil(std::uint64_t cycle);
+
+    /** Pop the next injection landing at `cycle` (non-decreasing
+     *  between calls), in ascending node order; false when none is
+     *  left at this cycle. */
+    bool nextHit(std::uint64_t cycle, topo::NodeId &node,
+                 topo::NodeId &dest);
+
+  private:
+    std::unique_ptr<InjectionEngine> engine;
+    EventQueue deadlines;
+    std::uint64_t hardStop;
 };
 
 /** The SIMD path the injection draw engine dispatched to on this

@@ -149,9 +149,9 @@ FaultInjector::deadIvc(const Fabric &fab, std::size_t idx) const
 }
 
 std::vector<std::uint32_t>
-FaultInjector::apply(std::uint64_t cycle, Fabric &fab,
-                     ActiveSet &allocActive)
+FaultInjector::apply(std::uint64_t cycle, Domain &dom)
 {
+    const Fabric &fab = dom.fab;
     bool any = false;
     while (nextIdx < events.size() && events[nextIdx].cycle <= cycle) {
         const FaultEvent &ev = events[nextIdx++];
@@ -185,14 +185,14 @@ FaultInjector::apply(std::uint64_t cycle, Fabric &fab,
             kill[vc.curPkt] = 1;
         }
     }
-    return purge(fab, allocActive, kill, cycle);
+    return purge(dom, kill, cycle);
 }
 
 std::vector<std::uint32_t>
-FaultInjector::purge(Fabric &fab, ActiveSet &allocActive,
-                     const std::vector<std::uint8_t> &kill,
+FaultInjector::purge(Domain &dom, const std::vector<std::uint8_t> &kill,
                      std::uint64_t cycle)
 {
+    Fabric &fab = dom.fab;
     std::vector<std::uint32_t> purged;
     for (std::size_t p = 0; p < kill.size(); ++p)
         if (kill[p])
@@ -218,7 +218,7 @@ FaultInjector::purge(Fabric &fab, ActiveSet &allocActive,
                     return kill[f.pkt] != 0;
                 });
             if (removed) {
-                fab.flitsInFlight -= removed;
+                dom.inFlight -= removed;
                 touched = true;
             }
         }
@@ -248,7 +248,7 @@ FaultInjector::purge(Fabric &fab, ActiveSet &allocActive,
         // are tolerated by the sweep.
         if (touched && !vc.buf.empty() && !vc.routed
             && !deadIvc(fab, i)) {
-            allocActive.schedule(i);
+            dom.allocActive.schedule(i);
         }
     }
     return purged;

@@ -41,8 +41,7 @@
 #include <vector>
 
 #include "cdg/routing_relation.hh"
-#include "sim/active_set.hh"
-#include "sim/router.hh"
+#include "sim/domain.hh"
 
 namespace ebda::sim {
 
@@ -94,10 +93,10 @@ class FaultInjector
      * Apply every event scheduled at or before `cycle`: update the
      * masks, then purge affected packets from the fabric. Returns the
      * purged packet ids (ascending; empty when no event was due).
-     * Revoked-but-surviving VCs are rescheduled on `allocActive`.
+     * Revoked-but-surviving VCs are rescheduled on the domain's
+     * allocation set.
      */
-    std::vector<std::uint32_t> apply(std::uint64_t cycle, Fabric &fab,
-                                     ActiveSet &allocActive);
+    std::vector<std::uint32_t> apply(std::uint64_t cycle, Domain &dom);
 
     /**
      * Channels newly marked dead since the last call, in marking
@@ -115,12 +114,12 @@ class FaultInjector
 
     /**
      * Purge every flit of the marked packets (`kill[pkt] != 0`) from
-     * the fabric, releasing/revoking allocations and maintaining the
-     * occupancy, ownership and flitsInFlight invariants. Also used by
-     * the simulator's watchdog recovery pass. Returns the purged
-     * packet ids in ascending order.
+     * the domain's fabric, releasing/revoking allocations and
+     * maintaining the occupancy, ownership and in-flight invariants.
+     * Also used by the simulator's watchdog recovery pass. Returns the
+     * purged packet ids in ascending order.
      */
-    std::vector<std::uint32_t> purge(Fabric &fab, ActiveSet &allocActive,
+    std::vector<std::uint32_t> purge(Domain &dom,
                                      const std::vector<std::uint8_t> &kill,
                                      std::uint64_t cycle);
 

@@ -15,7 +15,6 @@ buildForensics(const Fabric &fab, const routing::RouteTable &route,
 {
     DeadlockForensics out;
     out.frozenAtCycle = cycle;
-    out.frozenFlits = fab.flitsInFlight;
 
     // Wait-for graph over input VC indices. Channel buffers use their
     // channel id as vertex; injection buffers follow (they can start a
@@ -35,6 +34,7 @@ buildForensics(const Fabric &fab, const routing::RouteTable &route,
     }
     for (std::size_t i = 0; i < fab.ivcs.size(); ++i) {
         const InputVc &vc = fab.ivcs[i];
+        out.frozenFlits += vc.buf.size();
         if (vc.buf.empty())
             continue;
         if (vc.routed && vc.eject)

@@ -1,25 +1,25 @@
 /**
  * @file
- * The scheduler seam: how simulated time advances.
+ * Scheduling modes: how simulated time advances.
  *
- * The simulator's per-cycle phase code (inject, route/VC-alloc,
- * switch-alloc + traversal, eject, watchdog, fault events) is
- * scheduler-agnostic — it operates on active sets and takes the
- * current cycle as a parameter. A SchedulerBackend decides WHICH
- * cycles to execute:
+ * There is one per-cycle body (Simulator::beginCycle / step /
+ * endCycle: hooks and abort polling, the pipeline stages over a
+ * domain, progress, watchdog and drain termination) and three drivers
+ * that run it:
  *
- *  - CycleScheduler executes every cycle in order: the classic
- *    cycle-driven loop, bit-identical to the pre-seam simulator
- *    (tests/test_golden_sim.cc pins this).
- *  - EventScheduler (sim/event_queue.hh) executes only cycles on which
- *    something can happen. Injection timers are precomputed from the
- *    per-node RNG streams by a block-batched draw engine, and spans
- *    where the fabric is empty and no timer is due are skipped in one
- *    jump; while flits are in flight every cycle is executed, because
- *    in this single-cycle-per-hop model every in-flight flit is
- *    eligible to move each cycle. Both backends consume identical
- *    per-router RNG streams, so results are trace-equivalent
- *    (tests/test_sched_equiv.cc diffs the full result JSON).
+ *  - the cycle loop executes every cycle in order over the whole
+ *    fabric as one domain — bit-identical to the pre-refactor
+ *    simulator (tests/test_golden_sim.cc pins this);
+ *  - the event loop (sim/event_queue.hh) is the same loop plus an
+ *    idle-skip oracle and a batched injection engine: spans where the
+ *    fabric is empty and no injection is due are jumped in one step.
+ *    While flits are in flight every cycle is executed, because in
+ *    this single-cycle-per-hop model every in-flight flit is eligible
+ *    to move each cycle. Both consume identical per-router RNG
+ *    streams, so results are trace-equivalent
+ *    (tests/test_sched_equiv.cc diffs the full result JSON);
+ *  - the sharded loop (sim/shard_sched.hh) runs one domain per spatial
+ *    shard between cycle barriers, on several threads.
  *
  * Mode selection: SimConfig::schedMode is a tri-state. Auto defers to
  * the EBDA_SCHED_MODE environment variable if set ("cycle"/"event"),
@@ -27,7 +27,9 @@
  * pays off exactly where most cycles are empty, i.e. at low injection
  * rates; near saturation the cycle loop's linear scan wins. An
  * explicit Cycle/Event setting always wins (so equivalence tests stay
- * meaningful under a CI-wide EBDA_SCHED_MODE override).
+ * meaningful under a CI-wide EBDA_SCHED_MODE override). Cycle mode
+ * runs sharded when resolveShardCount (sim/shard_partition.hh) asks
+ * for more than one shard.
  */
 
 #ifndef EBDA_SIM_SCHEDULER_HH
@@ -39,9 +41,6 @@
 #include <string>
 
 namespace ebda::sim {
-
-class Simulator;
-struct SimResult;
 
 /** How simulated time advances (SimConfig::schedMode). */
 enum class SchedMode : std::uint8_t
@@ -88,32 +87,6 @@ inline constexpr double kEventModeRateThreshold = 0.01;
 /** Fabric size the rate threshold was calibrated on (16x16 mesh).
  *  Larger fabrics scale the cutoff down by refNodes/numNodes. */
 inline constexpr std::size_t kEventModeRefNodes = 256;
-
-/**
- * A scheduling backend: drives the warmup / measurement / drain phases
- * over the simulator's phase code and returns the final cycle (the
- * value the cycle counter held when the loop ended). Termination
- * verdicts (deadlock, abort) are written into `result`; the caller
- * fills in everything derivable from post-run state.
- */
-class SchedulerBackend
-{
-  public:
-    virtual ~SchedulerBackend() = default;
-
-    virtual std::uint64_t run(Simulator &sim, SimResult &result) = 0;
-
-    /** Cycles the backend actually executed (== cycles for the cycle
-     *  loop; typically far fewer for the event loop at low load). */
-    std::uint64_t wakeups = 0;
-};
-
-/** The cycle-driven backend: every cycle, in order. */
-class CycleScheduler final : public SchedulerBackend
-{
-  public:
-    std::uint64_t run(Simulator &sim, SimResult &result) override;
-};
 
 } // namespace ebda::sim
 

@@ -45,8 +45,8 @@ inline constexpr int kMaxShards = 256;
 
 /**
  * Resolve a SimConfig::shards request to the shard count one run will
- * actually use. Returns 1 (the classic single-threaded CycleScheduler)
- * whenever the sharded backend cannot run the configuration in v1:
+ * actually use. Returns 1 (the classic single-threaded cycle loop)
+ * whenever the sharded driver does not run the configuration:
  * fault plans and the request-reply protocol layer mutate global state
  * the shard workers do not partition, and an uncompiled route table
  * falls back to the virtual relation, which memoises internally and is

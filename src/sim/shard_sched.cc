@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <map>
 #include <memory>
 #include <thread>
@@ -80,252 +79,113 @@ class SpinBarrier
     unsigned total = 1;
 };
 
-/** One flit crossing a cut link: the channel it was sent into plus the
- *  flit itself (arrival already stamped by the sender). */
-struct FlitMsg
-{
-    topo::ChannelId chan;
-    Flit flit;
-};
+} // namespace
 
 /**
- * Double-buffered message queue for one ordered shard pair: flits for
- * cut links producer -> consumer, credits for cut links the other way.
- * The producer appends to parity (cycle & 1) during its cycle; the
- * consumer drains the opposite parity at the top of its next cycle —
- * so a buffer is never touched by two shards in the same inter-barrier
- * window, whatever order the shards execute in.
- */
-struct Mailbox
-{
-    std::uint16_t producer = 0;
-    std::uint16_t consumer = 0;
-    std::vector<FlitMsg> flits[2];
-    std::vector<topo::ChannelId> credits[2];
-};
-
-/** Per-link probe record (mirrors SwitchAllocator::LinkProbe). */
-struct LinkProbe
-{
-    topo::ChannelId base;
-    std::uint32_t nvc;
-};
-
-/**
- * Everything one shard owns. Arbitration offsets are maintained with
- * the exact increments the classic stages use, so each is the same
- * pure function of the cycle count; stats and counters accumulate
- * locally and are folded into the simulator in ascending shard order
- * after the workers join. alignas keeps neighbouring shards' hot
- * counters off each other's cache lines.
- */
-struct alignas(64) Shard
-{
-    Shard(std::size_t n_ivcs, std::size_t n_links, std::size_t n_nodes,
-          std::size_t rot_size)
-        : allocActive(n_ivcs), linkActive(n_links),
-          ejectActive(n_nodes), injectActive(n_nodes),
-          portUsedStamp(n_links + n_nodes, UINT64_MAX),
-          rotStart(rot_size, 0), latencyHist(4096)
-    {
-    }
-
-    /** Nodes this shard owns, ascending. */
-    std::vector<topo::NodeId> nodes;
-    /** Inbound mailbox indices, ascending by producer shard. */
-    std::vector<std::uint32_t> inbox;
-
-    /** Per-shard active sets over the full universes; membership only
-     *  ever covers shard-owned indices (the bitmap cost of the unused
-     *  range is negligible and keeps indexing global). */
-    ActiveSet allocActive;
-    ActiveSet linkActive;
-    ActiveSet ejectActive;
-    ActiveSet injectActive;
-
-    std::vector<std::uint64_t> portUsedStamp;
-    std::vector<std::uint32_t> rotStart;
-    std::size_t vcArbOffset = 0;
-    std::size_t swArbOffset = 0;
-
-    std::vector<topo::ChannelId> scratch;
-    std::vector<topo::ChannelId> free;
-
-    /** Packet slots this shard may allocate from; refilled to at least
-     *  one slot per owned node by the barrier hook. */
-    std::vector<std::uint32_t> pktPool;
-
-    Histogram latencyHist;
-    StatAccumulator latencyStat;
-    StatAccumulator hopsStat;
-    std::uint64_t packetsEjected = 0;
-    std::uint64_t measuredEjectedFlits = 0;
-    std::uint64_t generatedFlits = 0;
-    std::uint64_t measuredGenerated = 0;
-    std::uint64_t routeCalls = 0;
-    std::uint64_t flitMoves = 0;
-    /** Signed in-flight deltas: injection adds, ejection subtracts,
-     *  cut transfers touch neither side — each flit is counted once by
-     *  its injector shard and released once by its ejector shard, so
-     *  the sum over shards is the exact global count (flits sitting in
-     *  a mailbox included). */
-    std::int64_t inFlightDelta = 0;
-    std::int64_t measuredDelta = 0;
-    bool movedThisCycle = false;
-};
-
-/**
- * The whole run: shared read-only tables, the shard array, the
- * mailboxes, and the barrier-hook control state. Built by
- * ShardedCycleScheduler::run (the Simulator friend) from the
- * simulator's internals; the worker kernels below only ever touch
- * state through this struct.
+ * The whole run: the simulator, the shared Boundary, one Domain per
+ * shard and the barrier. Workers step their domains through the
+ * simulator's pipeline; the last barrier arriver runs the simulator's
+ * end-of-cycle and top-of-cycle bookkeeping for the whole fabric.
  */
 struct ShardRun
 {
-    const topo::Network &net;
-    const SimConfig &cfg;
+    Simulator &sim;
+    SimResult &result;
     Fabric &fab;
-    const routing::RouteTable &table;
-    const TrafficGenerator &traffic;
-    std::vector<Router> &routers;
-    std::vector<RingQueue<std::uint32_t>> &queues;
 
-    std::vector<std::uint16_t> shardOf;
-    std::vector<LinkProbe> linkInfo;
-    /** Per-channel outbound mailbox (cut channels only, -1 local):
-     *  sendBoxOf for the flit direction, creditBoxOf for the credit
-     *  return the other way. */
-    std::vector<std::int32_t> sendBoxOf;
-    std::vector<std::int32_t> creditBoxOf;
-    /** Sender-side credit counters per channel; only the cut channels'
-     *  entries are ever read, each by exactly one shard. */
-    std::vector<std::int32_t> credits;
-    std::vector<Mailbox> mailboxes;
-
-    std::vector<std::unique_ptr<Shard>> shards;
+    Boundary boundary;
+    std::vector<std::unique_ptr<Domain>> domains;
     /** Static shard -> worker-thread assignment (results never depend
      *  on it; it only divides the work). */
     std::vector<std::vector<std::uint16_t>> threadShards;
     SpinBarrier barrier;
 
-    std::uint64_t measureStart = 0;
-    std::uint64_t measureEnd = 0;
-    std::uint64_t hardStop = 0;
-    std::uint64_t watchdogCycles = 0;
-    std::uint64_t cycleLimit = 0;
-    const std::function<void()> *startHookFn = nullptr;
-    const std::function<void()> *endHookFn = nullptr;
-    const std::function<bool()> *abortCheckFn = nullptr;
-
     /** Written only by the barrier hook, read by workers after the
      *  barrier releases them — the barrier's release/acquire pair is
      *  the publication. */
-    struct
-    {
-        bool stop = false;
-        bool measuring = false;
-    } ctrl;
-
-    std::uint64_t lastProgress = 0;
-    std::uint64_t executedCycles = 0;
+    bool stop = false;
     std::uint64_t finalCycle = 0;
-    std::uint64_t wakeups = 0;
-    bool deadlocked = false;
-    bool aborted = false;
 
-    std::size_t numNodes = 0;
-    std::size_t numChannels = 0;
+    ShardRun(Simulator &s, SimResult &r) : sim(s), result(r), fab(s.fab)
+    {
+    }
 
-    bool isCut(topo::ChannelId c) const { return sendBoxOf[c] >= 0; }
-
-    // --- setup -----------------------------------------------------
-
+    /** Partition the nodes into domains and give every ordered pair of
+     *  domains joined by a cut link a mailbox. */
     void
     build(int shard_count)
     {
-        numNodes = net.numNodes();
-        numChannels = net.numChannels();
-        shardOf = partitionNodes(net, shard_count);
-
-        linkInfo.reserve(net.numLinks());
-        std::size_t max_rot = 1;
-        for (topo::LinkId l = 0; l < net.numLinks(); ++l) {
-            const int nvc = net.vcsOnLink(l);
-            linkInfo.push_back({net.linkChannelBase(l),
-                                static_cast<std::uint32_t>(nvc)});
-            max_rot =
-                std::max(max_rot, static_cast<std::size_t>(nvc));
+        const topo::Network &net = fab.net;
+        const auto shardOf = partitionNodes(net, shard_count);
+        std::vector<std::vector<topo::NodeId>> nodes(
+            static_cast<std::size_t>(shard_count));
+        for (topo::NodeId v = 0; v < net.numNodes(); ++v)
+            nodes[shardOf[v]].push_back(v);
+        domains.reserve(nodes.size());
+        for (auto &set : nodes) {
+            domains.push_back(std::make_unique<Domain>(
+                fab, std::move(set), &boundary));
+            // The pool holds at most twice its node count after each
+            // top-up (refillPools) plus one slot per node ejected
+            // within the cycle: reserve that once, so it never grows.
+            Domain &d = *domains.back();
+            d.pool.reserve(3 * d.nodes.size());
         }
-        for (topo::NodeId v = 0; v < numNodes; ++v)
-            max_rot = std::max(max_rot, routers[v].localIvcs.size());
 
-        shards.reserve(static_cast<std::size_t>(shard_count));
-        for (int s = 0; s < shard_count; ++s)
-            shards.push_back(std::make_unique<Shard>(
-                fab.ivcs.size(), net.numLinks(), numNodes,
-                max_rot + 1));
-        for (topo::NodeId v = 0; v < numNodes; ++v)
-            shards[shardOf[v]]->nodes.push_back(v);
-
-        // Mailboxes: one per ordered shard pair joined by a cut link,
-        // preallocated to the per-cycle message bound — at most one
-        // flit per cut link (the traverse stage moves one flit per
-        // output link per cycle) and one credit per cut link (every VC
-        // of a link shares its input port, so at most one pop/cycle).
-        sendBoxOf.assign(numChannels, -1);
-        creditBoxOf.assign(numChannels, -1);
-        credits.assign(numChannels, cfg.vcDepth);
+        // Mailboxes are preallocated to the per-cycle message bound:
+        // at most one flit per cut link (the traverse stage moves one
+        // flit per output link per cycle) and one credit per cut link
+        // (every VC of a link shares its input port, so at most one
+        // pop per cycle).
+        const std::size_t channels = net.numChannels();
+        boundary.sendBoxOf.assign(channels, -1);
+        boundary.creditBoxOf.assign(channels, -1);
+        boundary.credits.assign(channels, fab.cfg.vcDepth);
+        std::vector<Mailbox> &mailboxes = boundary.mailboxes;
         std::map<std::pair<int, int>, std::uint32_t> boxIndex;
+        std::vector<std::size_t> cap;
         auto box = [&](int from, int to) -> std::uint32_t {
-            const auto key = std::make_pair(from, to);
-            const auto it = boxIndex.find(key);
-            if (it != boxIndex.end())
-                return it->second;
-            const auto idx =
-                static_cast<std::uint32_t>(mailboxes.size());
-            boxIndex.emplace(key, idx);
-            mailboxes.push_back(Mailbox{
-                static_cast<std::uint16_t>(from),
-                static_cast<std::uint16_t>(to),
-                {},
-                {}});
-            return idx;
+            const auto [it, added] = boxIndex.emplace(
+                std::make_pair(from, to),
+                static_cast<std::uint32_t>(mailboxes.size()));
+            if (added) {
+                mailboxes.push_back(Mailbox{
+                    static_cast<std::uint16_t>(from),
+                    static_cast<std::uint16_t>(to),
+                    {},
+                    {}});
+                cap.push_back(0);
+            }
+            ++cap[it->second];
+            return it->second;
         };
-        std::vector<std::size_t> flitCap, creditCap;
         for (topo::LinkId l = 0; l < net.numLinks(); ++l) {
             const int a = shardOf[net.link(l).src];
             const int b = shardOf[net.link(l).dst];
             if (a == b)
                 continue;
-            const std::uint32_t fwd = box(a, b);
-            const std::uint32_t rev = box(b, a);
-            flitCap.resize(mailboxes.size(), 0);
-            creditCap.resize(mailboxes.size(), 0);
-            ++flitCap[fwd];
-            ++creditCap[rev];
-            const int nvc = net.vcsOnLink(l);
+            const auto fwd = static_cast<std::int32_t>(box(a, b));
+            const auto rev = static_cast<std::int32_t>(box(b, a));
             const topo::ChannelId base = net.linkChannelBase(l);
-            for (int v = 0; v < nvc; ++v) {
-                sendBoxOf[base + static_cast<topo::ChannelId>(v)] =
-                    static_cast<std::int32_t>(fwd);
-                creditBoxOf[base + static_cast<topo::ChannelId>(v)] =
-                    static_cast<std::int32_t>(rev);
+            for (int v = 0; v < net.vcsOnLink(l); ++v) {
+                boundary.sendBoxOf[base + static_cast<topo::ChannelId>(v)] =
+                    fwd;
+                boundary
+                    .creditBoxOf[base + static_cast<topo::ChannelId>(v)] =
+                    rev;
             }
         }
-        flitCap.resize(mailboxes.size(), 0);
-        creditCap.resize(mailboxes.size(), 0);
         for (std::size_t m = 0; m < mailboxes.size(); ++m) {
             for (int p = 0; p < 2; ++p) {
-                mailboxes[m].flits[p].reserve(flitCap[m]);
-                mailboxes[m].credits[p].reserve(creditCap[m]);
+                mailboxes[m].flits[p].reserve(cap[m]);
+                mailboxes[m].credits[p].reserve(cap[m]);
             }
-            shards[mailboxes[m].consumer]->inbox.push_back(
+            domains[mailboxes[m].consumer]->inbox.push_back(
                 static_cast<std::uint32_t>(m));
         }
         // Drain order must be deterministic: ascending producer.
-        for (auto &sp : shards) {
-            std::sort(sp->inbox.begin(), sp->inbox.end(),
+        for (auto &d : domains) {
+            std::sort(d->inbox.begin(), d->inbox.end(),
                       [&](std::uint32_t x, std::uint32_t y) {
                           return mailboxes[x].producer
                               < mailboxes[y].producer;
@@ -333,16 +193,16 @@ struct ShardRun
         }
     }
 
-    /** Keep every shard's packet pool at one slot per owned node (the
+    /** Keep every domain's packet pool at one slot per owned node (the
      *  per-cycle generation bound) and return hoarded excess — slots
-     *  migrate from ejector shards back to injector shards here, while
-     *  the workers are parked, so fab.packets may safely grow. */
+     *  migrate from ejecting domains back to injecting ones here,
+     *  while the workers are parked, so fab.packets may safely grow. */
     void
     refillPools()
     {
-        for (auto &sp : shards) {
-            const std::size_t target = sp->nodes.size();
-            auto &pool = sp->pktPool;
+        for (auto &d : domains) {
+            const std::size_t target = d->nodes.size();
+            auto &pool = d->pool;
             while (pool.size() > 2 * target) {
                 fab.pktFreelist.push_back(pool.back());
                 pool.pop_back();
@@ -360,449 +220,29 @@ struct ShardRun
         }
     }
 
-    // --- per-shard kernels (classic stages, shard-restricted) -------
-
-    /** Return the freed buffer slot of input VC `idx` to the upstream
-     *  shard when the channel is cut (pops of local channels need no
-     *  message — the owner reads the buffer directly). */
-    void
-    creditReturn(std::size_t idx, std::uint64_t cycle)
-    {
-        if (idx >= numChannels)
-            return;
-        const std::int32_t b =
-            creditBoxOf[static_cast<topo::ChannelId>(idx)];
-        if (b >= 0)
-            mailboxes[static_cast<std::size_t>(b)]
-                .credits[cycle & 1]
-                .push_back(static_cast<topo::ChannelId>(idx));
-    }
-
-    void
-    drainInbound(Shard &sh, std::uint64_t cycle)
-    {
-        const std::size_t parity = (cycle + 1) & 1;
-        for (const std::uint32_t m : sh.inbox) {
-            Mailbox &mb = mailboxes[m];
-            for (const FlitMsg &msg : mb.flits[parity]) {
-                InputVc &down = fab.ivcs[msg.chan];
-                fab.pushFlit(msg.chan, down, msg.flit, cycle,
-                             sh.flitMoves);
-                if (!down.routed)
-                    sh.allocActive.schedule(msg.chan);
-            }
-            mb.flits[parity].clear();
-            for (const topo::ChannelId c : mb.credits[parity])
-                ++credits[c];
-            mb.credits[parity].clear();
-        }
-    }
-
-    void
-    generate(Shard &sh, std::uint64_t cycle, bool measuring)
-    {
-        const double packet_rate = cfg.injectionRate
-            / static_cast<double>(cfg.packetLength);
-        for (const topo::NodeId n : sh.nodes) {
-            Rng &rng = routers[n].rng;
-            if (!rng.nextBool(packet_rate))
-                continue;
-            const auto dest = traffic.dest(n, rng);
-            if (!dest)
-                continue;
-            // Slot from the shard pool (non-empty by the refill
-            // invariant); seq derived from (cycle, node) — unique and
-            // deterministic without a shared counter.
-            const std::uint32_t id = sh.pktPool.back();
-            sh.pktPool.pop_back();
-            PacketRec rec;
-            rec.src = n;
-            rec.dest = *dest;
-            rec.genCycle = cycle;
-            rec.measured = measuring;
-            rec.seq = cycle * numNodes + n;
-            fab.packets[id] = rec;
-            queues[n].push_back(id);
-            sh.injectActive.schedule(n);
-            sh.generatedFlits +=
-                static_cast<std::uint64_t>(cfg.packetLength);
-            if (measuring) {
-                ++sh.measuredDelta;
-                ++sh.measuredGenerated;
-            }
-        }
-    }
-
-    void
-    fillInjectionVcs(Shard &sh, std::uint64_t cycle)
-    {
-        sh.injectActive.sweep(0, [&](std::size_t ni) -> bool {
-            const auto n = static_cast<topo::NodeId>(ni);
-            if (queues[n].empty())
-                return false;
-            for (int k = 0;
-                 k < cfg.injectionVcs && !queues[n].empty(); ++k) {
-                const std::size_t idx = fab.injIndex(n, k);
-                InputVc &vc = fab.ivcs[idx];
-                if (!vc.buf.empty() || vc.routed)
-                    continue;
-                const std::uint32_t pkt = queues[n].front();
-                queues[n].pop_front();
-                for (int f = 0; f < cfg.packetLength; ++f) {
-                    fab.pushFlit(idx, vc,
-                                 Flit{pkt, f == 0,
-                                      f == cfg.packetLength - 1,
-                                      cycle},
-                                 cycle, sh.flitMoves);
-                }
-                sh.inFlightDelta +=
-                    static_cast<std::int64_t>(cfg.packetLength);
-                sh.allocActive.schedule(idx);
-            }
-            return !queues[n].empty();
-        });
-    }
-
-    /** Downstream space as this shard may observe it: the live buffer
-     *  for local channels, the (one-cycle-lagged) credit counter for
-     *  cut channels. */
-    int
-    spaceAt(topo::ChannelId c) const
-    {
-        if (isCut(c))
-            return credits[c];
-        return cfg.vcDepth - static_cast<int>(fab.ivcs[c].buf.size());
-    }
-
-    void
-    vcAllocate(Shard &sh, std::uint64_t /*cycle*/)
-    {
-        const std::size_t count = fab.ivcs.size();
-        sh.vcArbOffset = (sh.vcArbOffset + 1) % count;
-
-        sh.allocActive.sweep(sh.vcArbOffset, [&](std::size_t i) -> bool {
-            InputVc &vc = fab.ivcs[i];
-            if (vc.routed || vc.buf.empty())
-                return false;
-            if (!vc.buf.front().head)
-                return true;
-            const PacketRec &pkt = fab.packets[vc.buf.front().pkt];
-            Router &rtr = routers[vc.atNode];
-
-            if (vc.atNode == pkt.dest) {
-                vc.eject = true;
-                vc.routed = true;
-                vc.curPkt = vc.buf.front().pkt;
-                fab.ejectMask[vc.atNode] |= std::uint64_t{1}
-                    << vc.localPos;
-                if (fab.ejectPending[vc.atNode]++ == 0)
-                    sh.ejectActive.schedule(vc.atNode);
-                return false;
-            }
-
-            sh.free.clear();
-            bool any_candidate = false;
-            ++sh.routeCalls;
-            for (topo::ChannelId c : table.candidatesViewUncounted(
-                     vc.self, vc.atNode, pkt.src, pkt.dest,
-                     sh.scratch)) {
-                any_candidate = true;
-                if (fab.chan[c].owner != topo::kInvalidId)
-                    continue;
-                if (cfg.atomicVcAllocation) {
-                    // Atomic mode wants an empty downstream buffer;
-                    // for a cut channel "all credits home" is the
-                    // sender-side equivalent (conservative by up to
-                    // the one-cycle credit lag).
-                    const bool empty = isCut(c)
-                        ? credits[c] == cfg.vcDepth
-                        : fab.ivcs[c].buf.empty();
-                    if (!empty)
-                        continue;
-                }
-                sh.free.push_back(c);
-            }
-            if (sh.free.empty()) {
-                if (any_candidate)
-                    ++rtr.stalls.vcStarved;
-                else
-                    ++rtr.stalls.routeCompute;
-                return true;
-            }
-
-            topo::ChannelId best = topo::kInvalidId;
-            switch (cfg.selection) {
-              case SelectionPolicy::MaxCredits: {
-                  int best_space = -1;
-                  for (const topo::ChannelId c : sh.free) {
-                      const int space = spaceAt(c);
-                      if (space > best_space) {
-                          best_space = space;
-                          best = c;
-                      }
-                  }
-                  break;
-              }
-              case SelectionPolicy::RoundRobin:
-                best = sh.free[sh.vcArbOffset % sh.free.size()];
-                break;
-              case SelectionPolicy::Random:
-                best = sh.free[rtr.rng.nextBounded(sh.free.size())];
-                break;
-              case SelectionPolicy::FirstCandidate:
-                best = sh.free.front();
-                break;
-            }
-
-            vc.out = best;
-            vc.eject = false;
-            vc.routed = true;
-            vc.curPkt = vc.buf.front().pkt;
-            fab.chan[best].owner = static_cast<std::uint32_t>(i);
-            const topo::LinkId l = fab.net.linkOf(best);
-            if (fab.ownedOnLink[l]++ == 0)
-                sh.linkActive.schedule(l);
-            return false;
-        });
-    }
-
-    void
-    traverse(Shard &sh, std::uint64_t cycle)
-    {
-        ++sh.swArbOffset;
-        const SwitchingMode switching = cfg.switching;
-        const int packet_length = cfg.packetLength;
-        const std::uint64_t pipe_extra =
-            static_cast<std::uint64_t>(cfg.routerLatency - 1);
-        for (std::size_t n = 1; n < sh.rotStart.size(); ++n) {
-            if (++sh.rotStart[n] >= n)
-                sh.rotStart[n] = 0;
-        }
-
-        sh.linkActive.sweep(
-            sh.swArbOffset % net.numLinks(),
-            [&](std::size_t li) -> bool {
-                const auto l = static_cast<topo::LinkId>(li);
-                const LinkProbe lp = linkInfo[li];
-                const int nvc = static_cast<int>(lp.nvc);
-                int v = static_cast<int>(sh.rotStart[lp.nvc]);
-                for (int vi = 0; vi < nvc; ++vi, ++v) {
-                    if (v >= nvc)
-                        v -= nvc;
-                    const topo::ChannelId out =
-                        lp.base + static_cast<topo::ChannelId>(v);
-                    ChannelState &cs = fab.chan[out];
-                    const std::uint32_t holder = cs.owner;
-                    if (holder == topo::kInvalidId)
-                        continue;
-                    InputVc &vc = fab.ivcs[holder];
-                    if (vc.buf.empty()
-                        || vc.buf.front().arrival >= cycle)
-                        continue;
-                    const bool cut = isCut(out);
-                    const int space = spaceAt(out);
-                    if (space <= 0) {
-                        ++routers[vc.atNode].stalls.creditStarved;
-                        continue;
-                    }
-                    if (vc.buf.front().head
-                        && !SwitchAllocator::headMayAdvance(
-                            switching, packet_length, vc, space)) {
-                        ++routers[vc.atNode].stalls.creditStarved;
-                        continue;
-                    }
-                    if (sh.portUsedStamp[vc.port] == cycle) {
-                        ++routers[vc.atNode].stalls.switchLost;
-                        continue;
-                    }
-
-                    Flit flit = fab.popFlit(holder, vc, cycle);
-                    creditReturn(holder, cycle);
-                    sh.portUsedStamp[vc.port] = cycle;
-                    flit.arrival = cycle + pipe_extra;
-                    if (cut) {
-                        // The receiver pushes (and counts the move)
-                        // when it drains the mailbox next cycle; the
-                        // credit is spent now so this shard's space
-                        // view stays conservative.
-                        --credits[out];
-                        mailboxes[static_cast<std::size_t>(
-                                      sendBoxOf[out])]
-                            .flits[cycle & 1]
-                            .push_back(FlitMsg{out, flit});
-                    } else {
-                        fab.pushFlit(out, fab.ivcs[out], flit, cycle,
-                                     sh.flitMoves);
-                    }
-                    ++cs.load;
-                    if (flit.head)
-                        ++fab.packets[flit.pkt].hops;
-                    if (flit.tail) {
-                        cs.owner = topo::kInvalidId;
-                        --fab.ownedOnLink[l];
-                        vc.routed = false;
-                        vc.out = topo::kInvalidId;
-                        vc.curPkt = topo::kInvalidId;
-                        if (!vc.buf.empty())
-                            sh.allocActive.schedule(holder);
-                    }
-                    if (!cut && !fab.ivcs[out].routed)
-                        sh.allocActive.schedule(out);
-                    sh.movedThisCycle = true;
-                    break; // one flit per output link per cycle
-                }
-                return fab.ownedOnLink[l] > 0;
-            });
-    }
-
-    void
-    eject(Shard &sh, std::uint64_t cycle, bool measuring)
-    {
-        sh.ejectActive.sweep(0, [&](std::size_t ni) -> bool {
-            const auto n = static_cast<topo::NodeId>(ni);
-            const auto &locals = routers[n].localIvcs;
-            const std::size_t nloc = locals.size();
-            const std::size_t p0 = sh.rotStart[nloc];
-            const std::uint64_t mask = fab.ejectMask[n];
-            const std::uint64_t low = (std::uint64_t{1} << p0) - 1;
-            std::uint64_t ranges[2] = {mask & ~low, mask & low};
-            bool granted = false;
-            for (std::uint64_t m : ranges) {
-                while (m && !granted) {
-                    const auto p = static_cast<std::size_t>(
-                        std::countr_zero(m));
-                    m &= m - 1;
-                    const std::size_t idx = locals[p];
-                    InputVc &vc = fab.ivcs[idx];
-                    if (vc.buf.empty()
-                        || vc.buf.front().arrival >= cycle)
-                        continue;
-                    if (sh.portUsedStamp[vc.port] == cycle) {
-                        ++routers[vc.atNode].stalls.switchLost;
-                        continue;
-                    }
-                    const Flit flit = fab.popFlit(idx, vc, cycle);
-                    creditReturn(idx, cycle);
-                    sh.portUsedStamp[vc.port] = cycle;
-                    --sh.inFlightDelta;
-                    ++sh.flitMoves;
-                    sh.movedThisCycle = true;
-                    if (flit.tail) {
-                        vc.routed = false;
-                        vc.eject = false;
-                        vc.curPkt = topo::kInvalidId;
-                        --fab.ejectPending[n];
-                        fab.ejectMask[n] &=
-                            ~(std::uint64_t{1} << vc.localPos);
-                        if (!vc.buf.empty())
-                            sh.allocActive.schedule(idx);
-                        PacketRec &pkt = fab.packets[flit.pkt];
-                        ++sh.packetsEjected;
-                        if (measuring)
-                            ++sh.measuredEjectedFlits;
-                        if (pkt.measured) {
-                            const auto latency =
-                                cycle - pkt.genCycle;
-                            sh.latencyHist.add(latency);
-                            sh.latencyStat.add(
-                                static_cast<double>(latency));
-                            sh.hopsStat.add(
-                                static_cast<double>(pkt.hops));
-                            --sh.measuredDelta;
-                        }
-                        sh.pktPool.push_back(flit.pkt);
-                    } else if (measuring) {
-                        ++sh.measuredEjectedFlits;
-                    }
-                    granted = true;
-                }
-                if (granted)
-                    break;
-            }
-            return fab.ejectPending[n] > 0;
-        });
-    }
-
-    void
-    step(Shard &sh, std::uint64_t cycle, bool measuring)
-    {
-        drainInbound(sh, cycle);
-        generate(sh, cycle, measuring);
-        fillInjectionVcs(sh, cycle);
-        vcAllocate(sh, cycle);
-        traverse(sh, cycle);
-        eject(sh, cycle, measuring);
-    }
-
-    // --- barrier completion hook (single-threaded) -------------------
-
-    void
-    stopAfterCycle(std::uint64_t c)
-    {
-        finalCycle = c;
-        wakeups = executedCycles;
-        ctrl.stop = true;
-    }
-
-    /** Runs once per cycle, by the last barrier arriver, while every
-     *  worker is parked: global reductions, watchdog, termination,
-     *  packet-pool upkeep — everything the classic loop did with
-     *  whole-fabric state. Mirrors the classic loop's top-of-cycle
-     *  bookkeeping for cycle c+1 so counters stay comparable. */
+    /** Barrier completion for cycle c, run single-threaded while every
+     *  worker is parked: pool upkeep, then the simulator's bottom of
+     *  cycle c and top of cycle c+1 over the sums of the domains'
+     *  counters (modular deltas, exact in sum). */
     void
     hook(std::uint64_t c)
     {
-        ++executedCycles;
         bool moved = false;
-        std::int64_t in_flight = 0;
-        std::int64_t measured = 0;
-        for (auto &sp : shards) {
-            moved |= sp->movedThisCycle;
-            sp->movedThisCycle = false;
-            in_flight += sp->inFlightDelta;
-            measured += sp->measuredDelta;
+        std::uint64_t in_flight = 0;
+        std::uint64_t measured = 0;
+        for (const auto &d : domains) {
+            moved |= d->moved;
+            in_flight += d->inFlight;
+            measured += d->measuredInFlight;
         }
-        if (moved || in_flight == 0)
-            lastProgress = c;
         refillPools();
-        if (c - lastProgress > watchdogCycles) {
-            // Nothing moved for the whole window, so no mailbox has
-            // held a message for that long either: the frozen fabric
-            // the forensics walk after the join is complete.
-            deadlocked = true;
-            stopAfterCycle(c);
+        std::uint64_t next = c + 1;
+        if (!sim.endCycle(c, moved, in_flight, measured, result))
+            next = c;
+        else if (next < sim.hardStop && sim.beginCycle(next))
             return;
-        }
-        if (c >= measureEnd && measured == 0) {
-            stopAfterCycle(c);
-            return;
-        }
-        const std::uint64_t next = c + 1;
-        if (next >= hardStop) {
-            finalCycle = hardStop;
-            wakeups = executedCycles;
-            ctrl.stop = true;
-            return;
-        }
-        if (startHookFn && next == measureStart)
-            (*startHookFn)();
-        if (endHookFn && next == measureEnd)
-            (*endHookFn)();
-        if (cycleLimit && next >= cycleLimit) {
-            aborted = true;
-            finalCycle = next;
-            wakeups = executedCycles + 1;
-            ctrl.stop = true;
-            return;
-        }
-        if (abortCheckFn && (next & 1023u) == 0 && (*abortCheckFn)()) {
-            aborted = true;
-            finalCycle = next;
-            wakeups = executedCycles + 1;
-            ctrl.stop = true;
-            return;
-        }
-        ctrl.measuring = next >= measureStart && next < measureEnd;
+        stop = true;
+        finalCycle = std::min(next, sim.hardStop);
     }
 
     void
@@ -810,123 +250,86 @@ struct ShardRun
     {
         const auto &mine = threadShards[tid];
         for (std::uint64_t cycle = 0;; ++cycle) {
-            const bool measuring = ctrl.measuring;
-            for (const std::uint16_t s : mine)
-                step(*shards[s], cycle, measuring);
+            for (const std::uint16_t s : mine) {
+                Domain &d = *domains[s];
+                d.moved = sim.step(d, cycle, nullptr);
+            }
             barrier.arrive([this, cycle] { hook(cycle); });
-            if (ctrl.stop)
+            if (stop)
                 break;
         }
     }
+
+    /** Fold the domains back into the simulator's whole-fabric domain,
+     *  in ascending shard order so the merged results are
+     *  deterministic. */
+    void
+    fold()
+    {
+        Domain &whole = sim.whole;
+        for (const auto &d : domains) {
+            whole.latencyHist.merge(d->latencyHist);
+            whole.latencyStat.merge(d->latencyStat);
+            whole.hopsStat.merge(d->hopsStat);
+            whole.packetsEjected += d->packetsEjected;
+            whole.measuredEjectedFlits += d->measuredEjectedFlits;
+            whole.generatedFlits += d->generatedFlits;
+            whole.measuredGenerated += d->measuredGenerated;
+            whole.flitMoves += d->flitMoves;
+            whole.routeCalls += d->routeCalls;
+            whole.inFlight += d->inFlight;
+            whole.measuredInFlight += d->measuredInFlight;
+            for (const std::uint32_t id : d->pool)
+                fab.pktFreelist.push_back(id);
+        }
+        fab.nextPacketSeq = std::max(
+            fab.nextPacketSeq,
+            (finalCycle + 1)
+                * static_cast<std::uint64_t>(fab.net.numNodes()));
+    }
+
+    std::uint64_t
+    run(int shards)
+    {
+        if (sim.hardStop == 0)
+            return 0;
+        build(shards);
+        refillPools();
+        // Top of cycle 0; the barrier hook runs it for every later
+        // cycle.
+        if (!sim.beginCycle(0))
+            return 0;
+
+        const unsigned threads = shardWorkerThreads(shards);
+        barrier.init(threads);
+        threadShards.resize(threads);
+        for (int s = 0; s < shards; ++s) {
+            // Contiguous static assignment: thread t runs shards
+            // [t*S/T, (t+1)*S/T) — neighbouring shards, which exchange
+            // the most mailbox traffic, share a thread when
+            // oversubscribed.
+            const auto t = static_cast<std::size_t>(s)
+                * static_cast<std::size_t>(threads)
+                / static_cast<std::size_t>(shards);
+            threadShards[t].push_back(static_cast<std::uint16_t>(s));
+        }
+
+        std::vector<std::thread> pool;
+        pool.reserve(threads - 1);
+        for (unsigned t = 1; t < threads; ++t)
+            pool.emplace_back([this, t] { workerLoop(t); });
+        workerLoop(0);
+        for (std::thread &t : pool)
+            t.join();
+        fold();
+        return finalCycle;
+    }
 };
 
-} // namespace
-
 std::uint64_t
-ShardedCycleScheduler::run(Simulator &sim, SimResult &result)
+runSharded(Simulator &sim, int shards, SimResult &result)
 {
-    ShardRun R{sim.net,         sim.cfg,         sim.fab,
-               sim.table,       sim.traffic,     sim.routerTable,
-               sim.sourceQueues};
-    R.measureStart = sim.cfg.warmupCycles;
-    R.measureEnd = R.measureStart + sim.cfg.measureCycles;
-    R.hardStop = R.measureEnd + sim.cfg.drainCycles;
-    R.watchdogCycles = sim.cfg.watchdogCycles;
-    R.cycleLimit = sim.cycleLimit;
-    if (sim.measureStartHook)
-        R.startHookFn = &sim.measureStartHook;
-    if (sim.measureEndHook)
-        R.endHookFn = &sim.measureEndHook;
-    if (sim.abortCheck)
-        R.abortCheckFn = &sim.abortCheck;
-
-    if (R.hardStop == 0) {
-        wakeups = 0;
-        return 0;
-    }
-    // Top-of-cycle-0 bookkeeping the barrier hook handles for every
-    // later cycle (the classic loop does this inside the iteration).
-    if (R.startHookFn && R.measureStart == 0)
-        (*R.startHookFn)();
-    if (R.endHookFn && R.measureEnd == 0)
-        (*R.endHookFn)();
-    if (R.abortCheckFn && (*R.abortCheckFn)()) {
-        sim.abortedFlag = true;
-        result.aborted = true;
-        wakeups = 1;
-        return 0;
-    }
-    R.ctrl.measuring = R.measureStart == 0 && R.measureEnd > 0;
-
-    R.build(shardCount);
-    R.refillPools();
-
-    const unsigned threads = shardWorkerThreads(shardCount);
-    R.barrier.init(threads);
-    R.threadShards.resize(threads);
-    for (int s = 0; s < shardCount; ++s) {
-        // Contiguous static assignment: thread t runs shards
-        // [t*S/T, (t+1)*S/T) — neighbouring shards, which exchange the
-        // most mailbox traffic, share a thread when oversubscribed.
-        const auto t = static_cast<std::size_t>(s)
-            * static_cast<std::size_t>(threads)
-            / static_cast<std::size_t>(shardCount);
-        R.threadShards[t].push_back(static_cast<std::uint16_t>(s));
-    }
-
-    std::vector<std::thread> pool;
-    pool.reserve(threads - 1);
-    for (unsigned t = 1; t < threads; ++t)
-        pool.emplace_back([&R, t] { R.workerLoop(t); });
-    R.workerLoop(0);
-    for (std::thread &t : pool)
-        t.join();
-
-    // Fold the per-shard state back into the simulator, in ascending
-    // shard order so the merged results are deterministic. From here
-    // Simulator::run assembles the SimResult exactly as it does for
-    // the classic backend.
-    std::int64_t in_flight = 0;
-    std::int64_t measured = 0;
-    for (auto &sp : R.shards) {
-        sim.latencyHist.merge(sp->latencyHist);
-        sim.latencyStat.merge(sp->latencyStat);
-        sim.hopsStat.merge(sp->hopsStat);
-        sim.packetsEjectedCount += sp->packetsEjected;
-        sim.measuredEjectedFlits += sp->measuredEjectedFlits;
-        sim.generatedFlits += sp->generatedFlits;
-        sim.measuredGenerated += sp->measuredGenerated;
-        sim.fab.flitMoves += sp->flitMoves;
-        sim.table.addCalls(sp->routeCalls);
-        in_flight += sp->inFlightDelta;
-        measured += sp->measuredDelta;
-        for (const std::uint32_t id : sp->pktPool)
-            sim.fab.pktFreelist.push_back(id);
-        sp->pktPool.clear();
-    }
-    sim.fab.flitsInFlight = static_cast<std::uint64_t>(in_flight);
-    sim.measuredInFlight = static_cast<std::uint64_t>(measured);
-    sim.genCycles = R.executedCycles;
-    sim.fab.nextPacketSeq = std::max(
-        sim.fab.nextPacketSeq,
-        (R.finalCycle + 1) * static_cast<std::uint64_t>(R.numNodes));
-
-    if (R.aborted) {
-        sim.abortedFlag = true;
-        result.aborted = true;
-    }
-    if (R.deadlocked) {
-        result.deadlocked = true;
-        sim.forensicsDump = buildForensics(sim.fab, sim.table,
-                                           R.finalCycle, nullptr);
-        result.deadlockCycle.assign(
-            sim.forensicsDump.waitCycle.begin(),
-            sim.forensicsDump.waitCycle.end());
-        result.deadlockCycleInCdg =
-            sim.forensicsDump.cycleInRelationCdg;
-    }
-    wakeups = R.wakeups;
-    return R.finalCycle;
+    return ShardRun(sim, result).run(shards);
 }
 
 } // namespace ebda::sim

@@ -1,5 +1,8 @@
 #include "sim_json.hh"
 
+#include <limits>
+#include <string>
+
 namespace ebda::sim {
 
 namespace {
@@ -269,6 +272,15 @@ toJson(const SimResult &r)
 
 namespace {
 
+/** "an integer in [lo, hi]" for the range of `Int`. */
+template <typename Int>
+std::string
+integerRange()
+{
+    return "an integer in [" + std::to_string(std::numeric_limits<Int>::min())
+        + ", " + std::to_string(std::numeric_limits<Int>::max()) + "]";
+}
+
 /** Shared field-by-field reader with error accumulation. */
 struct Reader
 {
@@ -283,16 +295,30 @@ struct Reader
         return false;
     }
 
-    template <typename Fn>
     bool
-    number(const std::string &key, Fn &&set)
+    real(const std::string &key, double &out)
     {
         const auto *f = v.find(key);
         if (!f)
             return true;
         if (!f->isNumber())
             return fail("'" + key + "' must be a number");
-        set(*f);
+        out = f->asDouble();
+        return true;
+    }
+
+    /** An integer field: integral and within the range of `Int`. */
+    template <typename Int>
+    bool
+    integer(const std::string &key, Int &out)
+    {
+        const auto *f = v.find(key);
+        if (!f)
+            return true;
+        const auto i = f->asInteger<Int>();
+        if (!i)
+            return fail("'" + key + "' must be " + integerRange<Int>());
+        out = *i;
         return true;
     }
 
@@ -340,35 +366,15 @@ faultPlanFromJson(const JsonValue &v, std::string *error)
     FaultPlan p;
     Reader r{v, {}};
     const bool ok =
-        r.number("seed", [&](const JsonValue &f) { p.seed = f.asU64(); })
-        && r.number("randomLinkFaults",
-                    [&](const JsonValue &f) {
-                        p.randomLinkFaults = f.asInt();
-                    })
-        && r.number("randomRouterFaults",
-                    [&](const JsonValue &f) {
-                        p.randomRouterFaults = f.asInt();
-                    })
-        && r.number("firstCycle",
-                    [&](const JsonValue &f) { p.firstCycle = f.asU64(); })
-        && r.number("spacing",
-                    [&](const JsonValue &f) { p.spacing = f.asU64(); })
-        && r.number("maxRecoveryAttempts",
-                    [&](const JsonValue &f) {
-                        p.maxRecoveryAttempts = f.asInt();
-                    })
-        && r.number("maxRetransmits",
-                    [&](const JsonValue &f) {
-                        p.maxRetransmits = f.asInt();
-                    })
-        && r.number("retransmitBackoff",
-                    [&](const JsonValue &f) {
-                        p.retransmitBackoff = f.asU64();
-                    })
-        && r.number("retransmitBackoffCap",
-                    [&](const JsonValue &f) {
-                        p.retransmitBackoffCap = f.asU64();
-                    })
+        r.integer("seed", p.seed)
+        && r.integer("randomLinkFaults", p.randomLinkFaults)
+        && r.integer("randomRouterFaults", p.randomRouterFaults)
+        && r.integer("firstCycle", p.firstCycle)
+        && r.integer("spacing", p.spacing)
+        && r.integer("maxRecoveryAttempts", p.maxRecoveryAttempts)
+        && r.integer("maxRetransmits", p.maxRetransmits)
+        && r.integer("retransmitBackoff", p.retransmitBackoff)
+        && r.integer("retransmitBackoffCap", p.retransmitBackoffCap)
         && r.boolean("checkDegradedCdg", p.checkDegradedCdg);
     // Reader errors read "'seed' must be a number"; re-anchor the key
     // at its full path: "'faults.seed' must be a number".
@@ -393,29 +399,20 @@ faultPlanFromJson(const JsonValue &v, std::string *error)
             }
             FaultEvent ev;
             ev.router = kind->asString() == "router";
-            const auto u32field = [&](const char *name,
-                                      std::uint32_t &out) -> bool {
-                const auto *f = e.find(name);
-                if (!f || !f->isNumber())
-                    return false;
-                out = static_cast<std::uint32_t>(f->asU64());
-                return true;
+            Reader er{e, {}};
+            const auto need = [&](const char *name) {
+                return e.find(name) != nullptr
+                    || er.fail("'" + std::string(name) + "' is missing");
             };
-            if (const auto *c = e.find("cycle");
-                c && c->isNumber()) {
-                ev.cycle = c->asU64();
-            } else {
-                return fail("'" + at + ".cycle' must be a number");
-            }
-            if (ev.router) {
-                if (!u32field("node", ev.node))
-                    return fail("'" + at + ".node' must be a number");
-            } else {
-                if (!u32field("src", ev.src)
-                    || !u32field("dst", ev.dst))
-                    return fail("'" + at
-                                + "' needs numeric 'src' and 'dst'");
-            }
+            const bool fields_ok = need("cycle")
+                && er.integer("cycle", ev.cycle)
+                && (ev.router
+                        ? need("node") && er.integer("node", ev.node)
+                        : need("src") && need("dst")
+                            && er.integer("src", ev.src)
+                            && er.integer("dst", ev.dst));
+            if (!fields_ok)
+                return fail("'" + at + "." + er.err.substr(1));
             for (const auto &[key, val] : e.members()) {
                 if (key != "cycle" && key != "kind" && key != "node"
                     && key != "src" && key != "dst")
@@ -455,22 +452,10 @@ protocolConfigFromJson(const JsonValue &v, std::string *error)
     Reader r{v, {}};
     const bool ok =
         r.boolean("requestReply", p.requestReply)
-        && r.number("replyBufferDepth",
-                    [&](const JsonValue &f) {
-                        p.replyBufferDepth = f.asInt();
-                    })
-        && r.number("serviceLatency",
-                    [&](const JsonValue &f) {
-                        p.serviceLatency = f.asU64();
-                    })
-        && r.number("serviceJitter",
-                    [&](const JsonValue &f) {
-                        p.serviceJitter = f.asU64();
-                    })
-        && r.number("messageClasses",
-                    [&](const JsonValue &f) {
-                        p.messageClasses = f.asInt();
-                    })
+        && r.integer("replyBufferDepth", p.replyBufferDepth)
+        && r.integer("serviceLatency", p.serviceLatency)
+        && r.integer("serviceJitter", p.serviceJitter)
+        && r.integer("messageClasses", p.messageClasses)
         && r.boolean("reserveReplyBuffer", p.reserveReplyBuffer);
     // Re-anchor the key at its full path, as for faults.
     if (!ok)
@@ -509,40 +494,20 @@ configFromJson(const JsonValue &v, std::string *error)
     SimConfig c;
     Reader r{v, {}};
     bool ok =
-        r.number("seed", [&](const JsonValue &f) { c.seed = f.asU64(); })
-        && r.number("vcDepth",
-                    [&](const JsonValue &f) { c.vcDepth = f.asInt(); })
-        && r.number("packetLength",
-                    [&](const JsonValue &f) { c.packetLength = f.asInt(); })
-        && r.number("routerLatency",
-                    [&](const JsonValue &f) {
-                        c.routerLatency = f.asInt();
-                    })
-        && r.number("injectionRate",
-                    [&](const JsonValue &f) {
-                        c.injectionRate = f.asDouble();
-                    })
-        && r.number("injectionVcs",
-                    [&](const JsonValue &f) { c.injectionVcs = f.asInt(); })
+        r.integer("seed", c.seed)
+        && r.integer("vcDepth", c.vcDepth)
+        && r.integer("packetLength", c.packetLength)
+        && r.integer("routerLatency", c.routerLatency)
+        && r.real("injectionRate", c.injectionRate)
+        && r.integer("injectionVcs", c.injectionVcs)
         && r.boolean("atomicVcAllocation", c.atomicVcAllocation)
-        && r.number("warmupCycles",
-                    [&](const JsonValue &f) { c.warmupCycles = f.asU64(); })
-        && r.number("measureCycles",
-                    [&](const JsonValue &f) {
-                        c.measureCycles = f.asU64();
-                    })
-        && r.number("drainCycles",
-                    [&](const JsonValue &f) { c.drainCycles = f.asU64(); })
-        && r.number("watchdogCycles",
-                    [&](const JsonValue &f) {
-                        c.watchdogCycles = f.asU64();
-                    })
+        && r.integer("warmupCycles", c.warmupCycles)
+        && r.integer("measureCycles", c.measureCycles)
+        && r.integer("drainCycles", c.drainCycles)
+        && r.integer("watchdogCycles", c.watchdogCycles)
         && r.boolean("routeTable", c.routeTable)
-        && r.number("routeTableBudget", [&](const JsonValue &f) {
-               c.routeTableBudget = f.asU64();
-           })
-        && r.number("shards",
-                    [&](const JsonValue &f) { c.shards = f.asInt(); });
+        && r.integer("routeTableBudget", c.routeTableBudget)
+        && r.integer("shards", c.shards);
     if (ok) {
         if (const auto *f = v.find("switching")) {
             const auto m = f->isString()
@@ -615,161 +580,57 @@ resultFromJson(const JsonValue &v, std::string *error)
     SimResult res;
     Reader r{v, {}};
     const bool ok =
-        r.number("avgLatency",
-                 [&](const JsonValue &f) { res.avgLatency = f.asDouble(); })
-        && r.number("p50Latency",
-                    [&](const JsonValue &f) { res.p50Latency = f.asU64(); })
-        && r.number("p99Latency",
-                    [&](const JsonValue &f) { res.p99Latency = f.asU64(); })
-        && r.number("maxLatency",
-                    [&](const JsonValue &f) { res.maxLatency = f.asU64(); })
-        && r.number("avgHops",
-                    [&](const JsonValue &f) { res.avgHops = f.asDouble(); })
-        && r.number("acceptedRate",
-                    [&](const JsonValue &f) {
-                        res.acceptedRate = f.asDouble();
-                    })
-        && r.number("offeredRate",
-                    [&](const JsonValue &f) {
-                        res.offeredRate = f.asDouble();
-                    })
-        && r.number("packetsMeasured",
-                    [&](const JsonValue &f) {
-                        res.packetsMeasured = f.asU64();
-                    })
-        && r.number("packetsEjected",
-                    [&](const JsonValue &f) {
-                        res.packetsEjected = f.asU64();
-                    })
+        r.real("avgLatency", res.avgLatency)
+        && r.integer("p50Latency", res.p50Latency)
+        && r.integer("p99Latency", res.p99Latency)
+        && r.integer("maxLatency", res.maxLatency)
+        && r.real("avgHops", res.avgHops)
+        && r.real("acceptedRate", res.acceptedRate)
+        && r.real("offeredRate", res.offeredRate)
+        && r.integer("packetsMeasured", res.packetsMeasured)
+        && r.integer("packetsEjected", res.packetsEjected)
         && r.boolean("deadlocked", res.deadlocked)
         && r.boolean("drained", res.drained)
-        && r.number("cycles",
-                    [&](const JsonValue &f) { res.cycles = f.asU64(); })
-        && r.number("channelLoadMean",
-                    [&](const JsonValue &f) {
-                        res.channelLoadMean = f.asDouble();
-                    })
-        && r.number("channelLoadCv",
-                    [&](const JsonValue &f) {
-                        res.channelLoadCv = f.asDouble();
-                    })
-        && r.number("channelLoadMaxRatio",
-                    [&](const JsonValue &f) {
-                        res.channelLoadMaxRatio = f.asDouble();
-                    })
-        && r.number("channelsUnused",
-                    [&](const JsonValue &f) {
-                        res.channelsUnused = f.asDouble();
-                    })
-        && r.number("stallRouteCompute",
-                    [&](const JsonValue &f) {
-                        res.stallRouteCompute = f.asU64();
-                    })
-        && r.number("stallVcStarved",
-                    [&](const JsonValue &f) {
-                        res.stallVcStarved = f.asU64();
-                    })
-        && r.number("stallCreditStarved",
-                    [&](const JsonValue &f) {
-                        res.stallCreditStarved = f.asU64();
-                    })
-        && r.number("stallSwitchLost",
-                    [&](const JsonValue &f) {
-                        res.stallSwitchLost = f.asU64();
-                    })
-        && r.number("hottestRouter",
-                    [&](const JsonValue &f) {
-                        res.hottestRouter =
-                            static_cast<std::uint32_t>(f.asU64());
-                    })
-        && r.number("hottestRouterStalls",
-                    [&](const JsonValue &f) {
-                        res.hottestRouterStalls = f.asU64();
-                    })
-        && r.number("channelOccupancyMean",
-                    [&](const JsonValue &f) {
-                        res.channelOccupancyMean = f.asDouble();
-                    })
-        && r.number("channelOccupancyPeak",
-                    [&](const JsonValue &f) {
-                        res.channelOccupancyPeak = f.asU64();
-                    })
+        && r.integer("cycles", res.cycles)
+        && r.real("channelLoadMean", res.channelLoadMean)
+        && r.real("channelLoadCv", res.channelLoadCv)
+        && r.real("channelLoadMaxRatio", res.channelLoadMaxRatio)
+        && r.real("channelsUnused", res.channelsUnused)
+        && r.integer("stallRouteCompute", res.stallRouteCompute)
+        && r.integer("stallVcStarved", res.stallVcStarved)
+        && r.integer("stallCreditStarved", res.stallCreditStarved)
+        && r.integer("stallSwitchLost", res.stallSwitchLost)
+        && r.integer("hottestRouter", res.hottestRouter)
+        && r.integer("hottestRouterStalls", res.hottestRouterStalls)
+        && r.real("channelOccupancyMean", res.channelOccupancyMean)
+        && r.integer("channelOccupancyPeak", res.channelOccupancyPeak)
         && r.boolean("deadlockCycleInCdg", res.deadlockCycleInCdg)
-        && r.number("faultEventsApplied",
-                    [&](const JsonValue &f) {
-                        res.faultEventsApplied = f.asU64();
-                    })
-        && r.number("packetsDropped",
-                    [&](const JsonValue &f) {
-                        res.packetsDropped = f.asU64();
-                    })
-        && r.number("packetsRetransmitted",
-                    [&](const JsonValue &f) {
-                        res.packetsRetransmitted = f.asU64();
-                    })
-        && r.number("packetsLost",
-                    [&](const JsonValue &f) {
-                        res.packetsLost = f.asU64();
-                    })
-        && r.number("recoveryPasses",
-                    [&](const JsonValue &f) {
-                        res.recoveryPasses = f.asU64();
-                    })
-        && r.number("faultChecks",
-                    [&](const JsonValue &f) {
-                        res.faultChecks = f.asU64();
-                    })
-        && r.number("faultChecksClean",
-                    [&](const JsonValue &f) {
-                        res.faultChecksClean = f.asU64();
-                    })
-        && r.number("deliveredFraction",
-                    [&](const JsonValue &f) {
-                        res.deliveredFraction = f.asDouble();
-                    })
+        && r.integer("faultEventsApplied", res.faultEventsApplied)
+        && r.integer("packetsDropped", res.packetsDropped)
+        && r.integer("packetsRetransmitted", res.packetsRetransmitted)
+        && r.integer("packetsLost", res.packetsLost)
+        && r.integer("recoveryPasses", res.recoveryPasses)
+        && r.integer("faultChecks", res.faultChecks)
+        && r.integer("faultChecksClean", res.faultChecksClean)
+        && r.real("deliveredFraction", res.deliveredFraction)
         && r.boolean("degradedGracefully", res.degradedGracefully)
         && r.boolean("aborted", res.aborted)
-        && r.number("routeComputeCalls",
-                    [&](const JsonValue &f) {
-                        res.routeComputeCalls = f.asU64();
-                    })
+        && r.integer("routeComputeCalls", res.routeComputeCalls)
         && r.boolean("routeTableCompiled", res.routeTableCompiled)
         && r.boolean("routeTablePerSource", res.routeTablePerSource)
-        && r.number("routeTableBytes",
-                    [&](const JsonValue &f) {
-                        res.routeTableBytes = f.asU64();
-                    })
+        && r.integer("routeTableBytes", res.routeTableBytes)
         // Absent in non-protocol results: the defaults stand.
         && r.boolean("protocolEnabled", res.protocolEnabled)
-        && r.number("protocolRequestsDelivered",
-                    [&](const JsonValue &f) {
-                        res.protocolRequestsDelivered = f.asU64();
-                    })
-        && r.number("protocolRepliesInjected",
-                    [&](const JsonValue &f) {
-                        res.protocolRepliesInjected = f.asU64();
-                    })
-        && r.number("protocolRepliesDelivered",
-                    [&](const JsonValue &f) {
-                        res.protocolRepliesDelivered = f.asU64();
-                    })
-        && r.number("protocolEndpointStalls",
-                    [&](const JsonValue &f) {
-                        res.protocolEndpointStalls = f.asU64();
-                    })
-        && r.number("protocolThrottled",
-                    [&](const JsonValue &f) {
-                        res.protocolThrottled = f.asU64();
-                    })
-        && r.number("protocolPeakOccupancy",
-                    [&](const JsonValue &f) {
-                        res.protocolPeakOccupancy = f.asU64();
-                    })
+        && r.integer("protocolRequestsDelivered",
+                     res.protocolRequestsDelivered)
+        && r.integer("protocolRepliesInjected", res.protocolRepliesInjected)
+        && r.integer("protocolRepliesDelivered", res.protocolRepliesDelivered)
+        && r.integer("protocolEndpointStalls", res.protocolEndpointStalls)
+        && r.integer("protocolThrottled", res.protocolThrottled)
+        && r.integer("protocolPeakOccupancy", res.protocolPeakOccupancy)
         && r.boolean("protocolDeadlock", res.protocolDeadlock)
         // Absent in pre-schedMode cache entries: the defaults stand.
-        && r.number("wakeups", [&](const JsonValue &f) {
-               res.wakeups = f.asU64();
-           });
+        && r.integer("wakeups", res.wakeups);
     if (ok) {
         if (const auto *f = v.find("schedMode")) {
             const auto m = f->isString()
@@ -790,9 +651,18 @@ resultFromJson(const JsonValue &v, std::string *error)
                     *error = "'deadlockCycle' must be an array";
                 return std::nullopt;
             }
-            for (const JsonValue &e : f->elements())
-                res.deadlockCycle.push_back(
-                    static_cast<std::uint32_t>(e.asU64()));
+            for (const JsonValue &e : f->elements()) {
+                const auto c = e.asInteger<std::uint32_t>();
+                if (!c) {
+                    if (error)
+                        *error = "'deadlockCycle["
+                            + std::to_string(res.deadlockCycle.size())
+                            + "]' must be "
+                            + integerRange<std::uint32_t>();
+                    return std::nullopt;
+                }
+                res.deadlockCycle.push_back(*c);
+            }
         }
     }
     if (!ok) {

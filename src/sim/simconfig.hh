@@ -201,8 +201,8 @@ struct SimConfig
      *  from the fabric size alone — never from the machine — so a
      *  result stays a pure function of its config (worker threads are
      *  the hardware-adaptive knob and never change results). 1 forces
-     *  the classic single-threaded CycleScheduler (bit-identical to
-     *  the golden rows); >1 forces that many shards. Values other
+     *  the classic single-threaded cycle loop (bit-identical to the
+     *  golden rows); >1 forces that many shards. Values other
      *  than 0 are serialized and therefore part of the sweep cache
      *  identity: a sharded run arbitrates per shard domain, so its
      *  results legitimately differ from the single-shard run. */

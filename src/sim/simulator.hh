@@ -30,14 +30,18 @@
  *    is cross-referenced against the Dally relation-CDG
  *    (sim/forensics.hh) — the runtime complement to the CDG verifier.
  *
- * Scheduling: the stages sweep *active sets* (sim/active_set.hh) — the
- * input VCs that hold flits and lack an output, the links with owned
- * output VCs, the nodes with pending ejections — instead of rescanning
- * the whole fabric each cycle, visiting members in exactly the rotated
- * order the monolithic scan used. Results are bit-identical to the
- * original single-loop simulator (tests/test_golden_sim.cc pins this
- * against captured pre-refactor outputs); per-cycle cost scales with
- * traffic in flight rather than fabric size.
+ * Scheduling: the stages run over a *domain* (sim/domain.hh) and sweep
+ * its *active sets* (sim/active_set.hh) — the input VCs that hold
+ * flits and lack an output, the links with owned output VCs, the nodes
+ * with pending ejections — instead of rescanning the whole fabric each
+ * cycle, visiting members in exactly the rotated order the monolithic
+ * scan used. Results are bit-identical to the original single-loop
+ * simulator (tests/test_golden_sim.cc pins this against captured
+ * pre-refactor outputs); per-cycle cost scales with traffic in flight
+ * rather than fabric size. One per-cycle body (beginCycle, step,
+ * endCycle) serves all three drivers: the classic loop and the event
+ * loop run the whole fabric as one domain, the sharded loop
+ * (sim/shard_sched.hh) one domain per shard.
  *
  * Simplifications vs. a full Booksim: single-stage router pipeline (no
  * extra RC/VA/SA latency cycles) and instantaneous credit return. Both
@@ -54,7 +58,7 @@
 
 #include <memory>
 
-#include "sim/active_set.hh"
+#include "sim/domain.hh"
 #include "sim/fault_injector.hh"
 #include "sim/forensics.hh"
 #include "sim/protocol.hh"
@@ -69,12 +73,14 @@
 
 namespace ebda::sim {
 
-class EventScheduler;
+class EventOracle;
+struct ShardRun;
 
 /**
- * The simulator: holds the fabric, the pipeline stages and the
- * per-run bookkeeping; a SchedulerBackend (sim/scheduler.hh) decides
- * which cycles to execute. Construct once per run.
+ * The simulator: holds the fabric, the pipeline stages, the per-cycle
+ * body and the per-run bookkeeping; the driver resolved from the
+ * config (sim/scheduler.hh) decides which cycles to execute and over
+ * which domains. Construct once per run.
  */
 class Simulator
 {
@@ -101,11 +107,11 @@ class Simulator
 
     /** @name Measurement-phase hooks (perf instrumentation)
      *  Invoked at the top of the first measurement cycle and at the
-     *  top of the first post-measurement cycle respectively.
-     *  bench_cycle_rate brackets its allocation-count and wall-clock
-     *  window with these to time exactly the steady-state loop —
-     *  construction, warmup and drain excluded. Unset by default (the
-     *  hot loop skips the checks entirely).
+     *  top of the first post-measurement cycle respectively, by every
+     *  driver. bench_cycle_rate brackets its wall-clock window and
+     *  tests/test_zero_alloc.cc its allocation count with these, to
+     *  cover exactly the steady-state loop — construction, warmup and
+     *  drain excluded. Unset by default.
      *  @{ */
     void
     setMeasurePhaseHooks(std::function<void()> onStart,
@@ -148,20 +154,56 @@ class Simulator
      *  disabled. Valid from construction. */
     const ProtocolState *protocol() const { return proto.get(); }
 
+    /** Flit moves so far (buffer pushes plus ejections). Live during a
+     *  classic or event run; a sharded run adds its shards' counts
+     *  when it ends. */
+    std::uint64_t flitMoves() const { return whole.flitMoves; }
+
     /** @} */
 
   private:
-    /** The scheduling backends drive the private phase code directly:
-     *  CycleScheduler is the classic loop (simulator.cc),
-     *  EventScheduler the queue-driven one (event_queue.cc),
-     *  ShardedCycleScheduler the multi-core cycle loop
-     *  (shard_sched.cc). */
-    friend class CycleScheduler;
-    friend class EventScheduler;
-    friend class ShardedCycleScheduler;
+    /** The sharded driver (shard_sched.cc) runs the same per-cycle
+     *  body over one domain per shard. */
+    friend struct ShardRun;
 
-    void generate(std::uint64_t cycle, bool measuring);
-    void fillInjectionVcs(std::uint64_t cycle);
+    /** @name The per-cycle body every driver runs
+     *  @{ */
+    /** Top of `cycle`: count the wakeup, fire the measurement-phase
+     *  hooks, enforce the cycle limit and poll the abort callback.
+     *  False when the run stops here (aborted). */
+    bool beginCycle(std::uint64_t cycle);
+    /** The pipeline of one domain for `cycle`: fault and retry upkeep,
+     *  mailbox delivery, generation (from `events` in event mode),
+     *  injection, VC allocation, traversal and ejection. Returns true
+     *  when a flit moved. */
+    bool step(Domain &dom, std::uint64_t cycle, EventOracle *events);
+    /** Bottom of `cycle`, given whether any flit moved and the
+     *  fabric-wide in-flight counts: progress, the watchdog (recovery
+     *  or deadlock forensics) and drain termination. False when the
+     *  run stops after this cycle. */
+    bool endCycle(std::uint64_t cycle, bool moved, std::uint64_t inFlight,
+                  std::uint64_t measuredInFlight, SimResult &result);
+    /** @} */
+
+    /** The classic and the event driver: the whole fabric as one
+     *  domain, every cycle in order — with `events`, jumping over the
+     *  cycles on which nothing can happen. Returns the final cycle. */
+    std::uint64_t runWhole(SimResult &result, EventOracle *events);
+
+    /** @name Pipeline stages (any domain)
+     *  @{ */
+    void generate(Domain &dom, std::uint64_t cycle, bool measuring);
+    /** Queue a generated packet at its source. */
+    void enqueuePacket(Domain &dom, topo::NodeId src, topo::NodeId dest,
+                       std::uint64_t cycle, bool measuring);
+    void fillInjectionVcs(Domain &dom, std::uint64_t cycle);
+    /** @} */
+
+    /** Fault events due at `cycle`, retry release and the periodic
+     *  stranded scan (whole-fabric domain only). */
+    void faultUpkeep(std::uint64_t cycle);
+    /** Purge the packets VC allocation found stranded this cycle. */
+    void purgeStranded(std::uint64_t cycle);
 
     /** @name Request–reply protocol path (no-ops when disabled)
      *  @{ */
@@ -211,6 +253,12 @@ class Simulator
     const TrafficGenerator &traffic;
     SimConfig cfg;
 
+    /** Run phases: [0, measureStart) warmup, [measureStart,
+     *  measureEnd) measurement, then drain until hardStop. */
+    std::uint64_t measureStart;
+    std::uint64_t measureEnd;
+    std::uint64_t hardStop;
+
     FaultInjector injector;
     FaultedRelationView faultedView;
     /** The relation the pipeline routes through: the degraded view
@@ -232,29 +280,22 @@ class Simulator
      *  more than a pointer. */
     std::unique_ptr<ProtocolState> proto;
 
-    /** @name Active sets
-     *  @{ */
-    /** Input VCs holding flits without an output allocation. */
-    ActiveSet allocActive;
-    /** Links with at least one owned output VC. */
-    ActiveSet linkActive;
-    /** Nodes with at least one eject-routed VC. */
-    ActiveSet ejectActive;
-    /** Nodes with queued packets awaiting an injection VC — the
-     *  injection fill visits these instead of scanning every node
-     *  every cycle. */
-    ActiveSet injectActive;
-    /** @} */
+    /** The whole fabric as one domain: the domain the classic and
+     *  event drivers run, and the one a sharded run's domains fold
+     *  their statistics into. */
+    Domain whole;
 
     /** Per-node queues of generated packets awaiting injection VCs.
      *  Ring queues: steady-state push/pop/erase never allocates (a
      *  deque's chunked storage would, at every chunk boundary). */
     std::vector<RingQueue<std::uint32_t>> sourceQueues;
 
-    std::uint64_t measuredInFlight = 0;
-    std::uint64_t generatedFlits = 0;
+    /** Cycles generation ran for, skipped idle cycles included. */
     std::uint64_t genCycles = 0;
-    std::uint64_t measuredEjectedFlits = 0;
+    /** Loop iterations begun (SimResult::wakeups). */
+    std::uint64_t wakeups = 0;
+    /** Last cycle on which a flit moved or the fabric was empty. */
+    std::uint64_t lastProgress = 0;
 
     /** @name Fault-path state
      *  @{ */
@@ -270,7 +311,6 @@ class Simulator
         std::size_t epoch;
     };
     std::vector<RetryEntry> retryQueue;
-    std::uint64_t measuredGenerated = 0;
     std::uint64_t packetsDroppedCount = 0;
     std::uint64_t packetsLostCount = 0;
     std::uint64_t retransmitCount = 0;
@@ -292,11 +332,6 @@ class Simulator
     /** Fallback buffer for the simulator's own candidatesView calls
      *  (injection routability checks, stranded scans). */
     std::vector<topo::ChannelId> routeScratch;
-
-    Histogram latencyHist;
-    StatAccumulator latencyStat;
-    StatAccumulator hopsStat;
-    std::uint64_t packetsEjectedCount = 0;
 
     std::uint64_t finalCycle = 0;
     DeadlockForensics forensicsDump;

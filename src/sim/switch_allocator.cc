@@ -5,12 +5,13 @@
 namespace ebda::sim {
 
 bool
-SwitchAllocator::traverse(std::uint64_t cycle, ActiveSet &linkActive,
-                          ActiveSet &allocActive,
+SwitchAllocator::traverse(Domain &dom, std::uint64_t cycle,
                           std::vector<Router> &routers)
 {
     bool moved = false;
-    ++swArbOffset;
+    ++dom.swArbOffset;
+    std::vector<std::uint32_t> &rotStart = dom.rotStart;
+    std::vector<std::uint64_t> &portUsedStamp = dom.portUsedStamp;
 
     // Hoisted loop invariants: the sweep visits every active link
     // every cycle, so per-flit work must not re-derive them.
@@ -28,8 +29,8 @@ SwitchAllocator::traverse(std::uint64_t cycle, ActiveSet &linkActive,
             rotStart[n] = 0;
     }
 
-    linkActive.sweep(
-        swArbOffset % fab.net.numLinks(), [&](std::size_t li) -> bool {
+    dom.linkActive.sweep(
+        dom.swArbOffset % fab.net.numLinks(), [&](std::size_t li) -> bool {
             const topo::LinkId l = static_cast<topo::LinkId>(li);
             // Channel base + VC arity in one 8-byte probe record.
             const LinkProbe lp = linkInfo[li];
@@ -51,10 +52,14 @@ SwitchAllocator::traverse(std::uint64_t cycle, ActiveSet &linkActive,
                 if (vc.buf.empty() || vc.buf.front().arrival >= cycle)
                     continue; // nothing movable yet: not a stall
                 // One lookup of the downstream buffer for the space
-                // probe, the push and the routed re-check alike.
+                // probe, the push and the routed re-check alike. A cut
+                // channel's buffer belongs to another domain: only its
+                // credit counter may be read.
+                const bool cut = dom.isCut(out);
                 InputVc &down = fab.ivcs[out];
-                const int space =
-                    vc_depth - static_cast<int>(down.buf.size());
+                const int space = cut
+                    ? dom.boundary->credits[out]
+                    : vc_depth - static_cast<int>(down.buf.size());
                 if (space <= 0) {
                     ++routers[vc.atNode].stalls.creditStarved;
                     continue;
@@ -65,17 +70,23 @@ SwitchAllocator::traverse(std::uint64_t cycle, ActiveSet &linkActive,
                     ++routers[vc.atNode].stalls.creditStarved;
                     continue;
                 }
-                if (portUsedStamp[portOf(vc)] == cycle) {
+                if (portUsedStamp[vc.port] == cycle) {
                     ++routers[vc.atNode].stalls.switchLost;
                     continue;
                 }
 
                 Flit flit = fab.popFlit(holder, vc, cycle);
-                portUsedStamp[portOf(vc)] = cycle;
+                dom.returnCredit(holder, cycle);
+                portUsedStamp[vc.port] = cycle;
                 // The flit becomes movable routerLatency cycles after
                 // the hop (pipeline depth).
                 flit.arrival = cycle + pipe_extra;
-                fab.pushFlit(out, down, flit, cycle);
+                // Across a cut the receiver pushes (and counts the
+                // move) when it drains its mailbox next cycle.
+                if (cut)
+                    dom.send(out, flit, cycle);
+                else
+                    fab.pushFlit(out, down, flit, cycle, dom.flitMoves);
                 ++cs.load;
                 if (flit.head)
                     ++fab.packets[flit.pkt].hops;
@@ -87,12 +98,12 @@ SwitchAllocator::traverse(std::uint64_t cycle, ActiveSet &linkActive,
                     vc.curPkt = topo::kInvalidId;
                     // The next packet's head (if any) needs an output.
                     if (!vc.buf.empty())
-                        allocActive.schedule(holder);
+                        dom.allocActive.schedule(holder);
                 }
                 // The moved flit may be a head waiting for allocation
                 // downstream.
-                if (!down.routed)
-                    allocActive.schedule(out);
+                if (!cut && !down.routed)
+                    dom.allocActive.schedule(out);
                 moved = true;
                 break; // one flit per output link per cycle
             }
@@ -102,13 +113,12 @@ SwitchAllocator::traverse(std::uint64_t cycle, ActiveSet &linkActive,
 }
 
 bool
-SwitchAllocator::eject(std::uint64_t cycle, ActiveSet &ejectActive,
-                       ActiveSet &allocActive,
-                       std::vector<Router> &routers, EjectStats &stats)
+SwitchAllocator::eject(Domain &dom, std::uint64_t cycle,
+                       std::vector<Router> &routers, bool measuring)
 {
     bool moved = false;
 
-    ejectActive.sweep(0, [&](std::size_t ni) -> bool {
+    dom.ejectActive.sweep(0, [&](std::size_t ni) -> bool {
         const topo::NodeId n = static_cast<topo::NodeId>(ni);
         const auto &locals = routers[n].localIvcs;
         const std::size_t nloc = locals.size();
@@ -118,7 +128,7 @@ SwitchAllocator::eject(std::uint64_t cycle, ActiveSet &ejectActive,
         // Splitting the mask at the rotated start position and
         // scanning each half ascending reproduces the original
         // p0, p0+1, ..., nloc-1, 0, ..., p0-1 visiting order exactly.
-        const std::size_t p0 = rotStart[nloc];
+        const std::size_t p0 = dom.rotStart[nloc];
         const std::uint64_t mask = fab.ejectMask[n];
         const std::uint64_t low = (std::uint64_t{1} << p0) - 1;
         std::uint64_t ranges[2] = {mask & ~low, mask & low};
@@ -132,14 +142,15 @@ SwitchAllocator::eject(std::uint64_t cycle, ActiveSet &ejectActive,
                 InputVc &vc = fab.ivcs[idx];
                 if (vc.buf.empty() || vc.buf.front().arrival >= cycle)
                     continue;
-                if (portUsedStamp[portOf(vc)] == cycle) {
+                if (dom.portUsedStamp[vc.port] == cycle) {
                     ++routers[vc.atNode].stalls.switchLost;
                     continue;
                 }
                 const Flit flit = fab.popFlit(idx, vc, cycle);
-                portUsedStamp[portOf(vc)] = cycle;
-                --fab.flitsInFlight;
-                ++fab.flitMoves;
+                dom.returnCredit(idx, cycle);
+                dom.portUsedStamp[vc.port] = cycle;
+                --dom.inFlight;
+                ++dom.flitMoves;
                 moved = true;
                 if (flit.tail) {
                     vc.routed = false;
@@ -149,19 +160,19 @@ SwitchAllocator::eject(std::uint64_t cycle, ActiveSet &ejectActive,
                     fab.ejectMask[n] &=
                         ~(std::uint64_t{1} << vc.localPos);
                     if (!vc.buf.empty())
-                        allocActive.schedule(idx);
+                        dom.allocActive.schedule(idx);
                     PacketRec &pkt = fab.packets[flit.pkt];
-                    ++stats.packetsEjected;
-                    if (stats.inMeasurementWindow)
-                        ++stats.measuredEjectedFlits;
+                    ++dom.packetsEjected;
+                    if (measuring)
+                        ++dom.measuredEjectedFlits;
                     if (pkt.measured) {
                         const auto latency = cycle - pkt.genCycle;
-                        stats.latencyHist.add(latency);
-                        stats.latencyStat.add(
+                        dom.latencyHist.add(latency);
+                        dom.latencyStat.add(
                             static_cast<double>(latency));
-                        stats.hopsStat.add(
+                        dom.hopsStat.add(
                             static_cast<double>(pkt.hops));
-                        --stats.measuredInFlight;
+                        --dom.measuredInFlight;
                     }
                     if (proto) {
                         if (pkt.msgClass == 0)
@@ -171,9 +182,9 @@ SwitchAllocator::eject(std::uint64_t cycle, ActiveSet &ejectActive,
                     }
                     // Tail gone, stats recorded: the slot can host
                     // the next generated packet.
-                    fab.freePacket(flit.pkt);
-                } else if (stats.inMeasurementWindow) {
-                    ++stats.measuredEjectedFlits;
+                    dom.freePacket(flit.pkt);
+                } else if (measuring) {
+                    ++dom.measuredEjectedFlits;
                 }
                 granted = true; // one ejected flit per node per cycle
             }

@@ -9,11 +9,14 @@
  * per-node ejection order — the exact rotation the monolithic loop
  * used, so grants are bit-identical.
  *
- * The stage sweeps only links with owned output VCs and nodes with
- * eject-routed VCs (skipped entries are provable no-ops), attributes
- * refusals to the upstream router's stall counters (credit-starved vs.
- * switch-lost), and reactivates the VC-allocation set when a tail
- * departure exposes the next packet's head.
+ * The stage sweeps only the domain's links with owned output VCs and
+ * nodes with eject-routed VCs (skipped entries are provable no-ops),
+ * attributes refusals to the upstream router's stall counters
+ * (credit-starved vs. switch-lost), and reactivates the VC-allocation
+ * set when a tail departure exposes the next packet's head. A flit
+ * sent into a cut channel goes to the downstream domain's mailbox,
+ * and a flit leaving a cut channel returns a credit upstream
+ * (sim/domain.hh).
  */
 
 #ifndef EBDA_SIM_SWITCH_ALLOCATOR_HH
@@ -22,79 +25,47 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/active_set.hh"
-#include "sim/router.hh"
-#include "util/stats.hh"
+#include "sim/domain.hh"
 
 namespace ebda::sim {
 
 class ProtocolState;
 
-/** Ejection-side statistics sinks, owned by the simulator. */
-struct EjectStats
-{
-    Histogram &latencyHist;
-    StatAccumulator &latencyStat;
-    StatAccumulator &hopsStat;
-    std::uint64_t &packetsEjected;
-    std::uint64_t &measuredEjectedFlits;
-    std::uint64_t &measuredInFlight;
-    /** True while the measurement window is open this cycle. */
-    bool inMeasurementWindow;
-};
-
 /** Switch allocation: link traversal and ejection. */
 class SwitchAllocator
 {
   public:
-    explicit SwitchAllocator(Fabric &fab)
-        : fab(fab),
-          portUsedStamp(fab.net.numLinks() + fab.net.numNodes(),
-                        UINT64_MAX)
+    explicit SwitchAllocator(Fabric &fab) : fab(fab)
     {
-        // Per-link probe record (channel base + VC arity in one 8-byte
-        // load) and the rotation-start table size: the rotated orders
-        // need `offset % arity`, and precomputing one start per
-        // distinct arity per cycle replaces one integer division per
-        // link/node visit.
+        // Per-link probe record: channel base + VC arity in one 8-byte
+        // load.
         linkInfo.reserve(fab.net.numLinks());
-        std::size_t max_rot = 1;
-        std::vector<std::uint32_t> node_vcs(
-            fab.net.numNodes(),
-            static_cast<std::uint32_t>(fab.cfg.injectionVcs));
-        for (topo::LinkId l = 0; l < fab.net.numLinks(); ++l) {
-            const int nvc = fab.net.vcsOnLink(l);
-            linkInfo.push_back({fab.net.linkChannelBase(l),
-                                static_cast<std::uint32_t>(nvc)});
-            max_rot = std::max(max_rot, static_cast<std::size_t>(nvc));
-            node_vcs[fab.net.link(l).dst] +=
-                static_cast<std::uint32_t>(nvc);
-        }
-        // A node's ejection domain holds every VC terminating there.
-        for (const std::uint32_t v : node_vcs)
-            max_rot = std::max(max_rot, static_cast<std::size_t>(v));
-        rotStart.assign(max_rot + 1, 0);
+        for (topo::LinkId l = 0; l < fab.net.numLinks(); ++l)
+            linkInfo.push_back(
+                {fab.net.linkChannelBase(l),
+                 static_cast<std::uint32_t>(fab.net.vcsOnLink(l))});
     }
 
     /**
-     * Network traversal: move at most one flit per active output link.
-     * Advances the rotating grant offset (shared with ejection).
+     * Network traversal: move at most one flit per active output link
+     * of the domain. Advances the domain's rotating grant offset
+     * (shared with ejection).
      *
      * @return true when any flit moved.
      */
-    bool traverse(std::uint64_t cycle, ActiveSet &linkActive,
-                  ActiveSet &allocActive, std::vector<Router> &routers);
+    bool traverse(Domain &dom, std::uint64_t cycle,
+                  std::vector<Router> &routers);
 
     /**
-     * Ejection: consume at most one flit per active node. Must run
-     * after traverse() in the same cycle (shares the per-cycle input
-     * port grants).
+     * Ejection: consume at most one flit per active node of the
+     * domain. Must run after traverse() in the same cycle (shares the
+     * per-cycle input port grants). `measuring` is true while the
+     * measurement window is open.
      *
      * @return true when any flit ejected.
      */
-    bool eject(std::uint64_t cycle, ActiveSet &ejectActive,
-               ActiveSet &allocActive, std::vector<Router> &routers,
-               EjectStats &stats);
+    bool eject(Domain &dom, std::uint64_t cycle,
+               std::vector<Router> &routers, bool measuring);
 
     /**
      * Pure switching-mode gate for moving a head flit out of vc into
@@ -134,30 +105,7 @@ class SwitchAllocator
      *  round trip. */
     ProtocolState *proto = nullptr;
 
-    /** Current rotating grant offset (advanced at each traverse). */
-    std::size_t offset() const { return swArbOffset; }
-
-    /** Re-derive the grant offset and the per-arity rotation starts
-     *  after skipped cycles. traverse() advances both unconditionally,
-     *  so they are pure functions of the cycle count: before executing
-     *  the iteration for `cycle`, swArbOffset == cycle and
-     *  rotStart[n] == cycle % n (traverse then increments to the
-     *  (cycle+1) values, exactly as if every skipped cycle had run).
-     *  The event scheduler calls this after each idle jump. */
-    void
-    resyncOffset(std::uint64_t cycle)
-    {
-        swArbOffset = static_cast<std::size_t>(cycle);
-        for (std::size_t n = 1; n < rotStart.size(); ++n)
-            rotStart[n] = static_cast<std::uint32_t>(
-                cycle % static_cast<std::uint64_t>(n));
-    }
-
   private:
-    /** Input port of a VC: its link, or the node's injection port
-     *  (precomputed at Fabric construction). */
-    static std::size_t portOf(const InputVc &vc) { return vc.port; }
-
     /** Per-link switch-probe record: first channel and VC arity,
      *  fetched with one load in the traversal inner loop. */
     struct LinkProbe
@@ -167,15 +115,8 @@ class SwitchAllocator
     };
 
     Fabric &fab;
-    std::size_t swArbOffset = 0;
-    /** Input-port usage stamps (one flit per port per cycle). */
-    std::vector<std::uint64_t> portUsedStamp;
     /** Probe records indexed by LinkId. */
     std::vector<LinkProbe> linkInfo;
-    /** rotStart[n] = swArbOffset % n, refreshed once per traverse —
-     *  the rotated VC / ejection starting position for every arity
-     *  that occurs in the fabric. */
-    std::vector<std::uint32_t> rotStart;
 };
 
 } // namespace ebda::sim

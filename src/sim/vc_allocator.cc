@@ -5,13 +5,13 @@
 namespace ebda::sim {
 
 void
-VcAllocator::allocate(ActiveSet &active, std::vector<Router> &routers,
-                      ActiveSet &linkActive, ActiveSet &ejectActive)
+VcAllocator::allocate(Domain &dom, std::vector<Router> &routers)
 {
     const std::size_t count = fab.ivcs.size();
-    vcArbOffset = (vcArbOffset + 1) % count;
+    dom.vcArbOffset = (dom.vcArbOffset + 1) % count;
+    std::vector<topo::ChannelId> &free = dom.free;
 
-    active.sweep(vcArbOffset, [&](std::size_t i) -> bool {
+    dom.allocActive.sweep(dom.vcArbOffset, [&](std::size_t i) -> bool {
         InputVc &vc = fab.ivcs[i];
         if (vc.routed || vc.buf.empty())
             return false; // stale: re-scheduled on the next transition
@@ -36,7 +36,7 @@ VcAllocator::allocate(ActiveSet &active, std::vector<Router> &routers,
             vc.curPkt = vc.buf.front().pkt;
             fab.ejectMask[vc.atNode] |= std::uint64_t{1} << vc.localPos;
             if (fab.ejectPending[vc.atNode]++ == 0)
-                ejectActive.schedule(vc.atNode);
+                dom.ejectActive.schedule(vc.atNode);
             return false;
         }
 
@@ -44,15 +44,18 @@ VcAllocator::allocate(ActiveSet &active, std::vector<Router> &routers,
         // policy.
         free.clear();
         bool any_candidate = false;
-        for (topo::ChannelId c :
-             route.candidatesView(vc.self, vc.atNode, pkt.src, pkt.dest,
-                                  scratch)) {
+        ++dom.routeCalls;
+        for (topo::ChannelId c : route.candidatesViewUncounted(
+                 vc.self, vc.atNode, pkt.src, pkt.dest, dom.scratch)) {
             any_candidate = true;
             if (proto && !proto->channelAllowed(c, pkt.msgClass))
                 continue;
             if (fab.chan[c].owner != topo::kInvalidId)
                 continue;
-            if (fab.cfg.atomicVcAllocation && !fab.ivcs[c].buf.empty())
+            // Atomic mode wants an empty downstream buffer: all credits
+            // home, as the sender sees them.
+            if (fab.cfg.atomicVcAllocation
+                && dom.spaceAt(c) != fab.cfg.vcDepth)
                 continue;
             free.push_back(c);
         }
@@ -67,9 +70,10 @@ VcAllocator::allocate(ActiveSet &active, std::vector<Router> &routers,
             return true; // keep waiting for an output VC
         }
 
-        const topo::ChannelId best =
-            selectOutput(fab.cfg.selection, free, fab.ivcs,
-                         fab.cfg.vcDepth, vcArbOffset, rtr.rng);
+        const topo::ChannelId best = selectOutput(
+            fab.cfg.selection, free,
+            [&dom](topo::ChannelId c) { return dom.spaceAt(c); },
+            dom.vcArbOffset, rtr.rng);
         vc.out = best;
         vc.eject = false;
         vc.routed = true;
@@ -77,7 +81,7 @@ VcAllocator::allocate(ActiveSet &active, std::vector<Router> &routers,
         fab.chan[best].owner = static_cast<std::uint32_t>(i);
         const topo::LinkId l = fab.net.linkOf(best);
         if (fab.ownedOnLink[l]++ == 0)
-            linkActive.schedule(l);
+            dom.linkActive.schedule(l);
         return false;
     });
 }

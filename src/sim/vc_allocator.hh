@@ -11,11 +11,12 @@
  * every cycle, exactly as the monolithic scan did, so arbitration is
  * bit-identical.
  *
- * The stage sweeps only the active set of VCs that hold flits and lack
- * an output (every skipped VC is a provable no-op for the original
- * scan), charges failed allocations to the owning router's stall
- * counters, and activates the downstream link / ejection sets for the
- * switch stage.
+ * The stage sweeps only the domain's active set of VCs that hold flits
+ * and lack an output (every skipped VC is a provable no-op for the
+ * original scan), charges failed allocations to the owning router's
+ * stall counters, and activates the downstream link / ejection sets
+ * for the switch stage. Free space and emptiness of a cut channel are
+ * read from the sender-side credit counter (sim/domain.hh).
  */
 
 #ifndef EBDA_SIM_VC_ALLOCATOR_HH
@@ -25,8 +26,7 @@
 #include <vector>
 
 #include "routing/route_table.hh"
-#include "sim/active_set.hh"
-#include "sim/router.hh"
+#include "sim/domain.hh"
 
 namespace ebda::sim {
 
@@ -44,24 +44,24 @@ class VcAllocator
     }
 
     /**
-     * One allocation pass over the scheduled input VCs. Newly routed
-     * VCs activate their output link (or their node's ejection port)
-     * for the switch stage; VCs that fail stay scheduled and charge a
-     * stall to their router.
+     * One allocation pass over the domain's scheduled input VCs. Newly
+     * routed VCs activate their output link (or their node's ejection
+     * port) for the switch stage; VCs that fail stay scheduled and
+     * charge a stall to their router.
      */
-    void allocate(ActiveSet &active, std::vector<Router> &routers,
-                  ActiveSet &linkActive, ActiveSet &ejectActive);
+    void allocate(Domain &dom, std::vector<Router> &routers);
 
     /**
      * Pure selection-policy kernel: pick one of the free candidates.
-     * `free` must be non-empty; `rotation` is the allocator's rotating
-     * offset (RoundRobin), `rng` the node's stream (Random). Inline:
-     * called for every successful head allocation every cycle.
+     * `free` must be non-empty; `space(c)` is the free downstream
+     * space of candidate c (MaxCredits), `rotation` the allocator's
+     * rotating offset (RoundRobin), `rng` the node's stream (Random).
+     * Inline: called for every successful head allocation every cycle.
      */
+    template <typename Space>
     static topo::ChannelId
     selectOutput(SelectionPolicy policy,
-                 const std::vector<topo::ChannelId> &free,
-                 const std::vector<InputVc> &ivcs, int vc_depth,
+                 const std::vector<topo::ChannelId> &free, Space &&space,
                  std::size_t rotation, Rng &rng)
     {
         topo::ChannelId best = topo::kInvalidId;
@@ -69,10 +69,9 @@ class VcAllocator
           case SelectionPolicy::MaxCredits: {
               int best_space = -1;
               for (topo::ChannelId c : free) {
-                  const int space =
-                      vc_depth - static_cast<int>(ivcs[c].buf.size());
-                  if (space > best_space) {
-                      best_space = space;
+                  const int s = space(c);
+                  if (s > best_space) {
+                      best_space = s;
                       best = c;
                   }
               }
@@ -89,22 +88,6 @@ class VcAllocator
             break;
         }
         return best;
-    }
-
-    /** Current rotating-priority offset (advanced at each allocate). */
-    std::size_t offset() const { return vcArbOffset; }
-
-    /** Re-derive the rotating offset after skipped cycles. allocate()
-     *  advances the offset unconditionally, so it is a pure function
-     *  of the cycle count: before executing the iteration for `cycle`
-     *  the offset must be `cycle % numVcs` (allocate then advances it
-     *  to the (cycle+1) value, exactly as if every skipped cycle had
-     *  run). The event scheduler calls this after each idle jump. */
-    void
-    resyncOffset(std::uint64_t cycle)
-    {
-        vcArbOffset = static_cast<std::size_t>(
-            cycle % static_cast<std::uint64_t>(fab.ivcs.size()));
     }
 
     /** @name Stranded-packet reporting (fault path)
@@ -127,14 +110,6 @@ class VcAllocator
   private:
     Fabric &fab;
     const routing::RouteTable &route;
-    std::size_t vcArbOffset = 0;
-    /** Fallback-path buffer for candidatesView (unused when the table
-     *  is compiled: views then point straight into it). */
-    std::vector<topo::ChannelId> scratch;
-    /** Free legal candidates of the VC under allocation. A member so
-     *  its capacity persists across cycles (steady-state allocate()
-     *  performs no heap allocation). */
-    std::vector<topo::ChannelId> free;
 };
 
 } // namespace ebda::sim

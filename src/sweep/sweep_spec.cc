@@ -190,12 +190,13 @@ readIntArray(const JsonValue &v, std::vector<int> &out, std::string *err,
     }
     out.clear();
     for (const auto &e : v.elements()) {
-        if (!e.isNumber() || e.asInt() < 1) {
+        const auto i = e.asInteger<int>();
+        if (!i || *i < 1) {
             if (err)
                 *err = path + ": entries must be integers >= 1";
             return false;
         }
-        out.push_back(e.asInt());
+        out.push_back(*i);
     }
     return true;
 }
@@ -209,13 +210,14 @@ readIntField(const JsonValue &params, const char *key, int min_value,
     const auto *v = params.find(key);
     if (!v)
         return true; // keep the default
-    if (!v->isNumber() || v->asInt() < min_value) {
+    const auto i = v->asInteger<int>();
+    if (!i || *i < min_value) {
         if (err)
             *err = path + "." + key + ": must be an integer >= "
                    + std::to_string(min_value);
         return false;
     }
-    *out = v->asInt();
+    *out = *i;
     return true;
 }
 

@@ -238,11 +238,6 @@ JsonValue::asDouble(double fallback) const
     return kind == Type::Number ? number : fallback;
 }
 
-int
-JsonValue::asInt(int fallback) const
-{
-    return kind == Type::Number ? static_cast<int>(number) : fallback;
-}
 
 std::uint64_t
 JsonValue::asU64(std::uint64_t fallback) const
@@ -259,6 +254,34 @@ JsonValue::asU64(std::uint64_t fallback) const
             return v;
     }
     return static_cast<std::uint64_t>(number);
+}
+
+bool
+JsonValue::integral(bool &negative, std::uint64_t &magnitude) const
+{
+    if (kind != Type::Number)
+        return false;
+    if (text.find_first_of(".eE") == std::string::npos) {
+        // Integer lexeme: parse the digits exactly.
+        const bool minus = !text.empty() && text[0] == '-';
+        errno = 0;
+        char *end = nullptr;
+        const char *digits = text.c_str() + (minus ? 1 : 0);
+        const auto v = std::strtoull(digits, &end, 10);
+        if (errno != 0 || end == digits || *end != '\0')
+            return false;
+        negative = minus && v != 0;
+        magnitude = v;
+        return true;
+    }
+    // Fraction or exponent lexeme: integral only if the double is, and
+    // within 64 bits of magnitude (2^64 is exact in a double).
+    if (!std::isfinite(number) || number != std::trunc(number)
+        || std::fabs(number) >= 18446744073709551616.0)
+        return false;
+    negative = number < 0;
+    magnitude = static_cast<std::uint64_t>(std::fabs(number));
+    return true;
 }
 
 const JsonValue *

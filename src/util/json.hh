@@ -13,8 +13,10 @@
 #define EBDA_UTIL_JSON_HH
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -118,10 +120,45 @@ class JsonValue
     /** Typed accessors; the fallback is returned on type mismatch. */
     bool asBool(bool fallback = false) const;
     double asDouble(double fallback = 0.0) const;
-    int asInt(int fallback = 0) const;
     /** Exact for integer lexemes up to 2^64-1 (falls back to the
      *  double value otherwise). */
     std::uint64_t asU64(std::uint64_t fallback = 0) const;
+
+    /**
+     * Checked integer read: the value when this is a number with an
+     * integral value that `Int` can hold, std::nullopt otherwise —
+     * never a truncated fraction or an out-of-range cast. Integer
+     * lexemes are read exactly over the whole 64-bit range; "4.0" and
+     * "1e3" are integral.
+     */
+    template <typename Int>
+    std::optional<Int>
+    asInteger() const
+    {
+        static_assert(std::is_integral_v<Int>);
+        bool negative = false;
+        std::uint64_t magnitude = 0;
+        if (!integral(negative, magnitude))
+            return std::nullopt;
+        using Limits = std::numeric_limits<Int>;
+        if (!negative) {
+            if (magnitude > static_cast<std::uint64_t>(Limits::max()))
+                return std::nullopt;
+            return static_cast<Int>(magnitude);
+        }
+        if constexpr (std::is_unsigned_v<Int>) {
+            return std::nullopt;
+        } else {
+            // |min| == max + 1 for two's complement types.
+            if (magnitude - 1 > static_cast<std::uint64_t>(Limits::max()))
+                return std::nullopt;
+            return static_cast<Int>(-static_cast<Int>(magnitude - 1) - 1);
+        }
+    }
+
+    /** Sign and magnitude of an integral number (magnitude < 2^64);
+     *  false for anything else. Zero is never negative. */
+    bool integral(bool &negative, std::uint64_t &magnitude) const;
     const std::string &asString() const { return text; }
 
     /** Array access. */

@@ -140,7 +140,7 @@ TEST(FaultInjector, MasksAndDegradedViewAfterApply)
     FaultInjector inj(net, plan);
     FaultedRelationView view(router, inj);
     Fabric fab(net, cfg);
-    ActiveSet active(fab.ivcs.size());
+    Domain dom(fab);
 
     // Before the event fires the view is transparent.
     const auto before =
@@ -148,7 +148,7 @@ TEST(FaultInjector, MasksAndDegradedViewAfterApply)
     EXPECT_EQ(before,
               router.candidates(cdg::kInjectionChannel, 0, 0, 3));
 
-    EXPECT_TRUE(inj.apply(5, fab, active).empty()); // empty fabric
+    EXPECT_TRUE(inj.apply(5, dom).empty()); // empty fabric
     EXPECT_EQ(inj.eventsApplied(), 1u);
     EXPECT_TRUE(inj.anyDead());
     EXPECT_EQ(inj.deadLinkCount(), 1u);

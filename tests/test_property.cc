@@ -77,17 +77,33 @@ struct ShapeParam
     bool torus;
 };
 
-/** Readable parameterized-test names like "mesh_4x4_vcs1_1". */
+/** Readable shape labels like "mesh_4x4_vcs1_1". */
+std::string
+shapeLabel(const ShapeParam &param)
+{
+    std::string name = param.torus ? "torus" : "mesh";
+    for (std::size_t i = 0; i < param.dims.size(); ++i)
+        name += (i ? "x" : "_") + std::to_string(param.dims[i]);
+    name += "_vcs";
+    for (std::size_t i = 0; i < param.vcs.size(); ++i)
+        name += (i ? "_" : "") + std::to_string(param.vcs[i]);
+    return name;
+}
+
 std::string
 shapeName(const ::testing::TestParamInfo<ShapeParam> &info)
 {
-    std::string name = info.param.torus ? "torus" : "mesh";
-    for (std::size_t i = 0; i < info.param.dims.size(); ++i)
-        name += (i ? "x" : "_") + std::to_string(info.param.dims[i]);
-    name += "_vcs";
-    for (std::size_t i = 0; i < info.param.vcs.size(); ++i)
-        name += (i ? "_" : "") + std::to_string(info.param.vcs[i]);
-    return name;
+    return shapeLabel(info.param);
+}
+
+/** gtest's printer for the parameter. Without it gtest prints the raw
+ *  bytes of the struct — heap addresses of its vectors — and
+ *  gtest_discover_tests puts those bytes into every ctest name, so
+ *  the names would change from build to build. */
+void
+PrintTo(const ShapeParam &param, std::ostream *os)
+{
+    *os << shapeLabel(param);
 }
 
 /** Every random Theorem-1 scheme over the shape's classes must have an
@@ -138,11 +154,6 @@ INSTANTIATE_TEST_SUITE_P(
                       ShapeParam{{5, 5}, {3, 1}, false}),
     shapeName);
 
-// ShapeParam has no gtest printer, so gtest_discover_tests registers each
-// case above under a ctest name ending in the raw bytes of its vectors:
-// heap addresses that differ from run to run. The 1-D line runs as a
-// plain test so that its name, the shortest, is fixed; a PrintTo for
-// ShapeParam would fix the rest too but rename every case above.
 TEST(SchemeSoundnessLine, Mesh8Vcs3AcceptedSchemesHaveAcyclicCdg)
 {
     expectAcceptedSchemesAcyclic(ShapeParam{{8}, {3}, false});

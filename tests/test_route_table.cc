@@ -293,6 +293,8 @@ TEST(RouteTable, TinyBudgetFallsBackToVirtual)
     ASSERT_NE(rel, nullptr);
     const RouteTable table(*rel, RouteTable::Options{true, 64});
     EXPECT_FALSE(table.compiled());
+    EXPECT_EQ(table.status(), RouteTable::Status::OverBudget);
+    EXPECT_GT(table.bytesNeeded(), 64u);
     EXPECT_EQ(table.tableBytes(), 0u);
     // The fallback path still answers, identically to the relation.
     const auto oracle = relationOracle(*rel);
@@ -310,6 +312,8 @@ TEST(RouteTable, ProbeUnsafeRelationFallsBack)
     EXPECT_FALSE(rel.probeSafe());
     const RouteTable table(rel);
     EXPECT_FALSE(table.compiled());
+    EXPECT_EQ(table.status(), RouteTable::Status::ProbeUnsafe);
+    EXPECT_EQ(table.bytesNeeded(), 0u);
     const auto oracle = relationOracle(rel);
     expectTableMatches(table, net, oracle, oracle);
 }
@@ -321,10 +325,27 @@ TEST(RouteTable, DisabledTableCountsCalls)
         routing::DimensionOrderRouting::xy(net);
     const RouteTable table(rel, RouteTable::Options{false, 1ull << 30});
     EXPECT_FALSE(table.compiled());
+    EXPECT_EQ(table.status(), RouteTable::Status::Disabled);
+    EXPECT_STREQ(routing::toString(table.status()), "disabled");
     std::vector<topo::ChannelId> scratch;
     (void)table.candidatesView(kInjectionChannel, 0, 0, 5, scratch);
     (void)table.candidatesView(kInjectionChannel, 0, 0, 6, scratch);
     EXPECT_EQ(table.calls(), 2u);
+}
+
+/** A 32x32 mesh with 2 VCs per dimension: the narrow row array alone,
+ *  (7,936 channels x 1,024 destinations + 1,024^2 injection rows) x
+ *  8 B, is over the default 64 MiB budget before any probing. */
+TEST(RouteTable, OverBudgetRecordsBytesNeeded)
+{
+    const auto net = topo::Network::mesh({32, 32}, {2, 2});
+    const routing::DimensionOrderRouting rel =
+        routing::DimensionOrderRouting::xy(net);
+    const RouteTable table(rel);
+    EXPECT_EQ(table.status(), RouteTable::Status::OverBudget);
+    EXPECT_STREQ(routing::toString(table.status()), "over-budget");
+    EXPECT_EQ(table.bytesNeeded(), (7936ull * 1024 + 1024ull * 1024) * 8);
+    EXPECT_EQ(table.tableBytes(), 0u);
 }
 
 /**

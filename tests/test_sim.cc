@@ -442,7 +442,8 @@ TEST(Fabric, ZeroCycleOccupancyHorizonYieldsZeroMeans)
     const auto net = topo::Network::mesh({2, 2}, {1, 1});
     SimConfig cfg;
     Fabric fab(net, cfg);
-    fab.pushFlit(0, Flit{0, true, true, 0}, 0);
+    std::uint64_t moves = 0;
+    fab.pushFlit(0, fab.ivcs[0], Flit{0, true, true, 0}, 0, moves);
 
     const auto occ = fab.channelOccupancy(0);
     ASSERT_EQ(occ.size(), net.numChannels());
@@ -504,6 +505,15 @@ ivcsWithFill(const std::vector<int> &fill)
     return vcs;
 }
 
+/** Free space per VC at depth 4, as the allocator reads it. */
+auto
+spaceIn(const std::vector<InputVc> &ivcs)
+{
+    return [&ivcs](topo::ChannelId c) {
+        return 4 - static_cast<int>(ivcs[c].buf.size());
+    };
+}
+
 } // namespace
 
 TEST(VcAllocatorKernel, MaxCreditsPicksMostFreeSpaceFirstOnTies)
@@ -513,12 +523,12 @@ TEST(VcAllocatorKernel, MaxCreditsPicksMostFreeSpaceFirstOnTies)
     Rng rng(1, 0);
     const std::vector<topo::ChannelId> free{0, 1, 2};
     EXPECT_EQ(VcAllocator::selectOutput(SelectionPolicy::MaxCredits, free,
-                                        vcs.ivcs, 4, 0, rng),
+                                        spaceIn(vcs.ivcs), 0, rng),
               2u);
     // Ties resolve to the earliest candidate (strict > comparison).
     const auto tied = ivcsWithFill({2, 2, 2});
     EXPECT_EQ(VcAllocator::selectOutput(SelectionPolicy::MaxCredits, free,
-                                        tied.ivcs, 4, 0, rng),
+                                        spaceIn(tied.ivcs), 0, rng),
               0u);
 }
 
@@ -529,7 +539,8 @@ TEST(VcAllocatorKernel, RoundRobinRotatesWithOffset)
     const std::vector<topo::ChannelId> free{0, 1, 2};
     for (std::size_t rot = 0; rot < 7; ++rot)
         EXPECT_EQ(VcAllocator::selectOutput(SelectionPolicy::RoundRobin,
-                                            free, vcs.ivcs, 4, rot, rng),
+                                            free, spaceIn(vcs.ivcs), rot,
+                                            rng),
                   free[rot % free.size()]);
 }
 
@@ -540,9 +551,9 @@ TEST(VcAllocatorKernel, RandomIsDeterministicPerStreamAndInRange)
     Rng a(2017, 5), b(2017, 5);
     for (int i = 0; i < 32; ++i) {
         const auto ca = VcAllocator::selectOutput(
-            SelectionPolicy::Random, free, vcs.ivcs, 4, 0, a);
+            SelectionPolicy::Random, free, spaceIn(vcs.ivcs), 0, a);
         const auto cb = VcAllocator::selectOutput(
-            SelectionPolicy::Random, free, vcs.ivcs, 4, 0, b);
+            SelectionPolicy::Random, free, spaceIn(vcs.ivcs), 0, b);
         EXPECT_EQ(ca, cb);
         EXPECT_TRUE(ca == 1u || ca == 3u);
     }
@@ -553,7 +564,8 @@ TEST(VcAllocatorKernel, FirstCandidateTakesRelationOrder)
     const auto vcs = ivcsWithFill({9, 9, 9});
     Rng rng(1, 0);
     EXPECT_EQ(VcAllocator::selectOutput(SelectionPolicy::FirstCandidate,
-                                        {2, 0, 1}, vcs.ivcs, 4, 0, rng),
+                                        {2, 0, 1}, spaceIn(vcs.ivcs), 0,
+                                        rng),
               2u);
 }
 

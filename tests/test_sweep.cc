@@ -687,6 +687,18 @@ TEST(SimJson, ResultRoundTripsExactly)
     EXPECT_FALSE(back->drained);
 }
 
+TEST(SimJson, ResultRejectsNonIntegerDeadlockCycle)
+{
+    for (const char *cycle : {"[3, 1.5]", "[3, -1]", "[4294967296]"}) {
+        const auto doc = parseJson(std::string(R"({"deadlockCycle":)")
+                                   + cycle + "}");
+        ASSERT_TRUE(doc);
+        std::string err;
+        EXPECT_FALSE(sim::resultFromJson(*doc, &err)) << cycle;
+        EXPECT_NE(err.find("deadlockCycle["), std::string::npos) << err;
+    }
+}
+
 // -------------------------------------------------------------- results
 
 TEST(Results, JsonlSortedByKeyAndParseable)
@@ -769,6 +781,53 @@ TEST(SweepSpecStrict, ErrorsNameTheOffendingPath)
         &err));
     EXPECT_EQ(err.rfind("sim", 0), 0u) << err;
     EXPECT_NE(err.find("faults.sed"), std::string::npos) << err;
+}
+
+/** Integer fields are read exactly: a fraction or an out-of-range
+ *  value is an error naming its path, never truncated or wrapped. */
+TEST(SweepSpecStrict, IntegerFieldsAreNeverTruncated)
+{
+    std::string err;
+    EXPECT_FALSE(sweep::SweepSpec::parse(
+        R"({"topology":{"dims":[4.7,4]},"routers":["xy"]})", &err));
+    EXPECT_NE(err.find("topology.dims"), std::string::npos) << err;
+    EXPECT_FALSE(sweep::SweepSpec::parse(
+        R"({"topology":{"dims":[1e10,4]},"routers":["xy"]})", &err));
+    EXPECT_NE(err.find("topology.dims"), std::string::npos) << err;
+    EXPECT_FALSE(sweep::SweepSpec::parse(
+        R"({"topology":{"type":"fullmesh","params":{"nodes":4.5}},
+            "routers":["updown"]})",
+        &err));
+    EXPECT_NE(err.find("topology.params.nodes"), std::string::npos)
+        << err;
+
+    EXPECT_FALSE(sweep::SweepSpec::parse(
+        R"({"topology":{"dims":[4,4]},"routers":["xy"],
+            "sim":{"vcDepth":2.9}})",
+        &err));
+    EXPECT_NE(err.find("'sim.vcDepth'"), std::string::npos) << err;
+
+    EXPECT_FALSE(sweep::SweepSpec::parse(
+        R"({"topology":{"dims":[4,4]},"routers":["xy"],
+            "sim":{"faults":{"events":[
+                {"kind":"router","cycle":10,"node":4294967297}]}}})",
+        &err));
+    EXPECT_NE(err.find("faults.events[0].node"), std::string::npos)
+        << err;
+
+    // Integral spellings of a valid value keep the canonical form, so
+    // cache keys do not move.
+    const auto plain = sweep::SweepSpec::parse(
+        R"({"topology":{"dims":[4,4]},"routers":["xy"],
+            "sim":{"vcDepth":4}})",
+        &err);
+    const auto spelled = sweep::SweepSpec::parse(
+        R"({"topology":{"dims":[4.0,4]},"routers":["xy"],
+            "sim":{"vcDepth":4e0}})",
+        &err);
+    ASSERT_TRUE(plain && spelled) << err;
+    EXPECT_EQ(plain->expand().front().key,
+              spelled->expand().front().key);
 }
 
 // ------------------------------------------------------ hardened sweep

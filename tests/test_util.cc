@@ -371,5 +371,29 @@ TEST(JsonWriter, EndWithoutScopePanics)
     EXPECT_DEATH(w.end(), "no open scope");
 }
 
+TEST(JsonValue, AsIntegerRejectsFractionsAndOutOfRange)
+{
+    const auto doc = parseJson(
+        R"([4, 4.0, 1e3, 4.7, 1e10, -1, 4294967297,
+            18446744073709551615, -9223372036854775808, "4", -0])");
+    ASSERT_TRUE(doc);
+    const auto &v = doc->elements();
+    EXPECT_EQ(v[0].asInteger<int>(), 4);
+    EXPECT_EQ(v[1].asInteger<int>(), 4);
+    EXPECT_EQ(v[2].asInteger<int>(), 1000);
+    EXPECT_FALSE(v[3].asInteger<int>()); // fraction, not truncated
+    EXPECT_FALSE(v[4].asInteger<int>()); // beyond int
+    EXPECT_EQ(v[4].asInteger<std::int64_t>(), 10000000000);
+    EXPECT_EQ(v[5].asInteger<int>(), -1);
+    EXPECT_FALSE(v[5].asInteger<std::uint32_t>());
+    EXPECT_FALSE(v[6].asInteger<std::uint32_t>()); // 2^32 + 1
+    EXPECT_EQ(v[7].asInteger<std::uint64_t>(), ~std::uint64_t{0});
+    EXPECT_FALSE(v[7].asInteger<std::int64_t>());
+    EXPECT_EQ(v[8].asInteger<std::int64_t>(),
+              std::numeric_limits<std::int64_t>::min());
+    EXPECT_FALSE(v[9].asInteger<int>()); // a string
+    EXPECT_EQ(v[10].asInteger<std::uint32_t>(), 0u);
+}
+
 } // namespace
 } // namespace ebda

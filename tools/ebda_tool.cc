@@ -386,7 +386,8 @@ cmdSimulate(const Args &args)
     cfg.warmupCycles = cfg.measureCycles / 4;
     cfg.drainCycles = cfg.measureCycles * 10;
 
-    const auto result = sim::runSimulation(net, router, gen, cfg);
+    sim::Simulator simulator(net, router, gen, cfg);
+    const auto result = simulator.run();
 
     if (args.has("json")) {
         JsonWriter w;
@@ -414,6 +415,20 @@ cmdSimulate(const Args &args)
               << "\naccepted: " << result.acceptedRate
               << " flits/node/cycle (offered " << result.offeredRate
               << ")\nchannel load CV: " << result.channelLoadCv << '\n';
+    // How route compute ran: the compiled table, or the virtual
+    // relation and why (kept out of the result JSON, whose bytes are
+    // the sweep cache's identity).
+    const routing::RouteTable &table = simulator.routeTable();
+    std::cout << "route table: " << routing::toString(table.status());
+    if (table.compiled())
+        std::cout << " (" << table.tableBytes() << " bytes)";
+    else if (table.status() == routing::RouteTable::Status::OverBudget)
+        std::cout << " (needs " << table.bytesNeeded() << " bytes, budget "
+                  << cfg.routeTableBudget << "); routing through the "
+                  << "virtual relation";
+    else
+        std::cout << "; routing through the virtual relation";
+    std::cout << '\n';
     return 0;
 }
 
